@@ -4,7 +4,8 @@
 // (64 -> 10000 hosts), reporting events/sec and wall-ms per simulated
 // minute. Simulated results stay deterministic — only the wall-clock
 // readings vary run to run, which is why the committed baseline gates them
-// with direction-aware, regression-only tolerances
+// with direction-aware, regression-only tolerances, while the deterministic
+// counters (events, scheduler jobs_visited) are gated exactly
 // (scripts/check_bench_baselines.py).
 //
 // Every point registers ~10 cold VMs per host on top of the evacuated
@@ -23,7 +24,7 @@
 //   --no-fast-forward  tick every guest write as a discrete event (A/B
 //                      reference; simulated results are byte-identical)
 //   --budget-wall-ms   fail (exit 1) if any point's evacuation wall time
-//                      exceeds MS (the 10k leg's <60 s acceptance gate)
+//                      exceeds MS (the 10k leg's 10 s acceptance gate)
 //   --json FILE        flat metrics JSON for the baseline gate
 //   --profile-out      self-profile the runs, write a collapsed-stack file
 //   --fleet            A/B every point: observability off, then twice with
@@ -81,6 +82,7 @@ struct Row {
   double wall_ms = 0;         // drain() wall time (steady state)
   double sim_s = 0;           // simulated makespan
   std::uint64_t events = 0;   // simulator events processed (deterministic)
+  std::uint64_t jobs_visited = 0;  // scheduler job visits (deterministic)
   double events_per_sec = 0;  // events / wall-s (throughput, wall)
   double wall_ms_per_sim_min = 0;
   std::uint64_t completed = 0;
@@ -188,6 +190,7 @@ Row run_once(int hosts, const FleetOpts* obs,
   r.materialized_hosts = tb.materialized_host_count();
   r.sim_s = sim.now().to_seconds();
   r.events = sim.events_processed();
+  r.jobs_visited = orch.jobs_visited();
   r.completed = orch.jobs_completed();
   r.failed = orch.jobs_failed();
   const double wall_s = r.wall_ms / 1e3;
@@ -424,6 +427,7 @@ int main(int argc, char** argv) {
     for (const auto& r : rows) {
       const std::string p = "scale.h" + std::to_string(r.hosts) + ".";
       kv.emplace_back(p + "events", static_cast<double>(r.events));
+      kv.emplace_back(p + "jobs_visited", static_cast<double>(r.jobs_visited));
       kv.emplace_back(p + "events_per_sec", r.events_per_sec);
       kv.emplace_back(p + "wall_ms_per_sim_min", r.wall_ms_per_sim_min);
       kv.emplace_back(p + "setup_ms", r.setup_ms);  // reported, never gated

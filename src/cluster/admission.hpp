@@ -1,7 +1,9 @@
 #pragma once
 
-#include <map>
-#include <string>
+#include <cstddef>
+#include <functional>
+#include <unordered_map>
+#include <utility>
 
 #include "hypervisor/host.hpp"
 
@@ -25,16 +27,19 @@ struct AdmissionCaps {
   int total = 8;       ///< concurrent migrations cluster-wide
 };
 
-/// Slot accounting for in-flight migrations, keyed by host *name* (names
-/// are unique within a deployment and give deterministic ordering, unlike
-/// pointers). Purely synchronous bookkeeping — the orchestrator decides
-/// when to re-test admissibility.
+/// Slot accounting for in-flight migrations, keyed by host identity. The
+/// counters are hash maps that are only ever looked up, never iterated, so
+/// their order cannot reach an output. Purely synchronous bookkeeping — the
+/// orchestrator decides when to re-test admissibility.
 class AdmissionControl {
  public:
   explicit AdmissionControl(AdmissionCaps caps = {}) : caps_{caps} {}
 
   /// Would launching (from -> to) respect every cap right now?
   bool admissible(const hv::Host& from, const hv::Host& to) const;
+  /// Do the total and per-source caps leave room for one more launch out
+  /// of `from`? (admissible() additionally checks the destination and link.)
+  bool source_open(const hv::Host& from) const;
   /// Occupy the slots for (from -> to). Caller must have checked
   /// admissible() — acquire does not re-verify.
   void acquire(const hv::Host& from, const hv::Host& to);
@@ -42,21 +47,30 @@ class AdmissionControl {
   void release(const hv::Host& from, const hv::Host& to);
 
   int inflight() const noexcept { return total_; }
-  int inflight_from(const hv::Host& h) const { return lookup(by_source_, h.name()); }
-  int inflight_to(const hv::Host& h) const { return lookup(by_dest_, h.name()); }
+  int inflight_from(const hv::Host& h) const { return lookup(by_source_, &h); }
+  int inflight_to(const hv::Host& h) const { return lookup(by_dest_, &h); }
   const AdmissionCaps& caps() const noexcept { return caps_; }
 
  private:
-  static std::string link_key(const hv::Host& from, const hv::Host& to) {
-    return from.name() + "->" + to.name();
+  using Link = std::pair<const hv::Host*, const hv::Host*>;
+  struct LinkHash {
+    std::size_t operator()(const Link& l) const noexcept {
+      const std::size_t a = std::hash<const hv::Host*>{}(l.first);
+      return a ^ (std::hash<const hv::Host*>{}(l.second) + 0x9e3779b97f4a7c15ull +
+                  (a << 6) + (a >> 2));
+    }
+  };
+  template <typename Map, typename Key>
+  static int lookup(const Map& m, const Key& k) {
+    const auto it = m.find(k);
+    return it == m.end() ? 0 : it->second;
   }
-  static int lookup(const std::map<std::string, int>& m, const std::string& k);
 
   AdmissionCaps caps_;
   int total_ = 0;
-  std::map<std::string, int> by_source_;
-  std::map<std::string, int> by_dest_;
-  std::map<std::string, int> by_link_;
+  std::unordered_map<const hv::Host*, int> by_source_;
+  std::unordered_map<const hv::Host*, int> by_dest_;
+  std::unordered_map<Link, int, LinkHash> by_link_;
 };
 
 }  // namespace vmig::cluster

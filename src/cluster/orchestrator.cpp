@@ -1,7 +1,6 @@
 #include "cluster/orchestrator.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -19,6 +18,15 @@ namespace vmig::cluster {
 
 namespace {
 constexpr double kMiB = 1024.0 * 1024.0;
+
+/// The job's VBD geometry without creating a VBD: every VBD on a host
+/// shares the primary disk's geometry, which is also what a lookup miss
+/// would have created.
+const storage::Geometry& geometry_of(const MigrationJob& j) {
+  const hv::Host& from = *j.request.from;
+  const storage::VirtualDisk* vbd = from.find_vbd(j.request.domain->id());
+  return (vbd != nullptr ? *vbd : from.disk()).geometry();
+}
 }  // namespace
 
 Orchestrator::Orchestrator(sim::Simulator& sim, core::MigrationManager& mgr,
@@ -45,14 +53,47 @@ Orchestrator::Orchestrator(sim::Simulator& sim, core::MigrationManager& mgr,
   if (tracer_ != nullptr) trk_ = tracer_->track("cluster", "orchestrator");
 }
 
+const char* to_string(SubmitRejection r) {
+  switch (r) {
+    case SubmitRejection::kNullArgument:
+      return "null-argument";
+    case SubmitRejection::kSameHost:
+      return "same-host";
+    case SubmitRejection::kNotConnected:
+      return "not-connected";
+    case SubmitRejection::kNotOnSource:
+      return "not-on-source";
+    default:
+      return "duplicate-domain";
+  }
+}
+
 JobId Orchestrator::submit(core::MigrationRequest req) {
   if (req.domain == nullptr || req.from == nullptr || req.to == nullptr) {
-    throw std::invalid_argument{"cluster: submit with null domain or host"};
+    throw SubmitError{SubmitRejection::kNullArgument,
+                      "cluster: submit with null domain or host"};
+  }
+  if (req.from == req.to) {
+    throw SubmitError{SubmitRejection::kSameHost,
+                      "cluster: domain '" + req.domain->name() +
+                          "' submitted from host '" + req.from->name() +
+                          "' to itself"};
   }
   if (!req.from->connected_to(*req.to)) {
-    throw std::invalid_argument{"cluster: hosts '" + req.from->name() +
-                                "' and '" + req.to->name() +
-                                "' are not connected"};
+    throw SubmitError{SubmitRejection::kNotConnected,
+                      "cluster: hosts '" + req.from->name() + "' and '" +
+                          req.to->name() + "' are not connected"};
+  }
+  if (!req.from->hosts_domain(*req.domain)) {
+    throw SubmitError{SubmitRejection::kNotOnSource,
+                      "cluster: host '" + req.from->name() +
+                          "' does not host domain '" + req.domain->name() +
+                          "'"};
+  }
+  if (!active_domains_.insert(req.domain->id()).second) {
+    throw SubmitError{SubmitRejection::kDuplicateDomain,
+                      "cluster: domain '" + req.domain->name() +
+                          "' already has a queued or running job"};
   }
 
   const JobId id = static_cast<JobId>(jobs_.size());
@@ -62,13 +103,14 @@ JobId Orchestrator::submit(core::MigrationRequest req) {
   j.submitted = sim_.now();
   j.next_eligible = sim_.now();
   jobs_.push_back(std::move(j));
+  MigrationJob& job = jobs_.back();
+  slots_.push_back(Slot{.source = source_of(*job.request.from)});
 
   // A cycle-aware scheduler needs to watch each queued domain's write rate
   // before its migration starts, so switch the block-bitmap on at submit.
   // Safe even when the eventual pass must be a full copy: the manager's
   // pairwise-validity guard decides full-vs-incremental independently of
   // who enabled tracking.
-  MigrationJob& job = jobs_.back();
   if (cfg_.policy == SchedulePolicyKind::kWorkloadCycleAware) {
     vm::BlkBackend& be = job.request.from->backend_for(job.request.domain->id());
     if (!be.tracking()) {
@@ -83,7 +125,9 @@ JobId Orchestrator::submit(core::MigrationRequest req) {
     rs.primed = true;
     rs.count = be.dirty_marks_total();
     rs.at = sim_.now();
+    sampled_.push_back(id);
   }
+  enqueue(job);
 
   if (m_submitted_ != nullptr) m_submitted_->add(1.0);
   if (cfg_.rollup != nullptr) cfg_.rollup->job_submitted();
@@ -121,7 +165,9 @@ sim::Task<void> Orchestrator::run() {
       obs::prof_count(obs::ProfCategory::kOrchestratorTick);
       expire_deadlines();
       if (terminal_ < jobs_.size()) {
-        sample_dirty_rates();
+        if (cfg_.policy == SchedulePolicyKind::kWorkloadCycleAware) {
+          sample_dirty_rates();
+        }
         deferred = launch_ready();
       }
     }
@@ -215,6 +261,7 @@ void Orchestrator::on_finished(JobId id, core::MigrationOutcome outcome) {
     // whole time, so a retry is always safe.
     j.state = JobState::kPending;
     j.next_eligible = sim_.now() + cfg_.retry.backoff_after(j.attempts);
+    enqueue(j);
     ++retries_;
     if (m_retries_ != nullptr) m_retries_->add(1.0);
     if (cfg_.rollup != nullptr) cfg_.rollup->job_retry(j.request.from);
@@ -236,51 +283,101 @@ void Orchestrator::on_finished(JobId id, core::MigrationOutcome outcome) {
 }
 
 bool Orchestrator::launch_ready() {
-  bool deferred = false;
+  const ReadyOrder before;
   for (;;) {
-    std::vector<JobView> eligible;
-    for (const MigrationJob& j : jobs_) {
-      if (j.state != JobState::kPending) continue;
-      if (j.next_eligible > sim_.now()) continue;
-      if (!admission_.admissible(*j.request.from, *j.request.to)) continue;
-      eligible.push_back(view_of(j));
+    if (cfg_.policy == SchedulePolicyKind::kFifo) {
+      // The global queue-order minimum over admissible jobs is the minimum
+      // over open sources of each one's first admissible job.
+      const ReadyKey* best = nullptr;
+      for (const Source& src : sources_) {
+        if (src.ready.empty() || !admission_.source_open(*src.host)) continue;
+        for (const ReadyKey& k : src.ready) {
+          ++jobs_visited_;
+          const MigrationJob& j = jobs_[k.second];
+          if (!admission_.admissible(*j.request.from, *j.request.to)) continue;
+          if (best == nullptr || before(k, *best)) best = &k;
+          break;
+        }
+      }
+      if (best == nullptr) return false;
+      launch(jobs_[best->second]);
+      continue;
     }
-    if (eligible.empty()) return deferred;
 
-    const std::size_t pick = policy_->pick(eligible);
+    // Smallest-dirty-first and cycle-aware rank views of every admissible
+    // ready job, presented in job order.
+    admissible_.clear();
+    for (const Source& src : sources_) {
+      if (src.ready.empty() || !admission_.source_open(*src.host)) continue;
+      for (const ReadyKey& k : src.ready) {
+        ++jobs_visited_;
+        const MigrationJob& j = jobs_[k.second];
+        if (admission_.admissible(*j.request.from, *j.request.to)) {
+          admissible_.push_back(j.id);
+        }
+      }
+    }
+    if (admissible_.empty()) return false;
+    std::sort(admissible_.begin(), admissible_.end());
+    eligible_.clear();
+    for (const JobId id : admissible_) eligible_.push_back(view_of(jobs_[id]));
+
+    const std::size_t pick = policy_->pick(eligible_);
     if (pick == SchedulerPolicy::kDefer) {
       // The policy looked at every launchable job and chose to wait for a
       // cooler workload cycle; note the pass-over on each one so the
       // forced-through budget eventually unblocks a permanently-hot VM.
-      for (const JobView& v : eligible) ++jobs_[v.job->id].deferrals;
+      for (const JobView& v : eligible_) ++jobs_[v.job->id].deferrals;
       ++deferrals_;
       if (m_deferrals_ != nullptr) m_deferrals_->add(1.0);
       if (cfg_.rollup != nullptr) cfg_.rollup->deferral();
       return true;
     }
-
-    MigrationJob& j = jobs_[eligible[pick].job->id];
-    admission_.acquire(*j.request.from, *j.request.to);
-    j.state = JobState::kRunning;
-    ++j.attempts;
-    ++running_;
-    peak_running_ = std::max(peak_running_, running_);
-    if (cfg_.rollup != nullptr) {
-      cfg_.rollup->attempt_started(j.request.from, j.request.to);
-    }
-    if (m_running_ != nullptr) m_running_->set(running_);
-    if (m_pending_ != nullptr) {
-      m_pending_->set(static_cast<double>(jobs_.size() - terminal_) - running_);
-    }
-    sim_.spawn(job_runner(j.id));
+    launch(jobs_[eligible_[pick].job->id]);
   }
 }
 
+void Orchestrator::launch(MigrationJob& j) {
+  dequeue(j);
+  admission_.acquire(*j.request.from, *j.request.to);
+  j.state = JobState::kRunning;
+  ++j.attempts;
+  ++running_;
+  peak_running_ = std::max(peak_running_, running_);
+  if (cfg_.rollup != nullptr) {
+    cfg_.rollup->attempt_started(j.request.from, j.request.to);
+  }
+  if (m_running_ != nullptr) m_running_->set(running_);
+  if (m_pending_ != nullptr) {
+    m_pending_->set(static_cast<double>(jobs_.size() - terminal_) - running_);
+  }
+  sim_.spawn(job_runner(j.id));
+}
+
 void Orchestrator::expire_deadlines() {
-  for (MigrationJob& j : jobs_) {
+  due_.swap(overdue_);
+  overdue_.clear();
+  jobs_visited_ += due_.size();
+  while (!timers_.empty() && timers_.top().at <= sim_.now()) {
+    const Timer t = timers_.top();
+    timers_.pop();
+    ++jobs_visited_;
+    const MigrationJob& j = jobs_[t.job];
+    Slot& s = slots_[t.job];
+    if (t.deadline) {
+      s.deadline_armed = false;
+      if (j.state == JobState::kPending) due_.push_back(t.job);
+    } else if (s.queue == Queue::kTimer && j.next_eligible == t.at) {
+      make_ready(j);  // an expiry below takes it out again
+    }
+  }
+
+  // Expire in job order, as a scan over the job table would.
+  std::sort(due_.begin(), due_.end());
+  due_.erase(std::unique(due_.begin(), due_.end()), due_.end());
+  for (const JobId id : due_) {
+    MigrationJob& j = jobs_[id];
     if (j.state != JobState::kPending) continue;
-    if (j.request.deadline <= sim::Duration::zero()) continue;
-    if (sim_.now() < j.submitted + j.request.deadline) continue;
     j.outcome.status = core::MigrationStatus::kDeadlineExpired;
     j.outcome.attempts = j.attempts;
     mark_terminal(j, JobState::kFailed);
@@ -288,17 +385,26 @@ void Orchestrator::expire_deadlines() {
       m_pending_->set(static_cast<double>(jobs_.size() - terminal_) - running_);
     }
   }
+  due_.clear();
 }
 
 void Orchestrator::sample_dirty_rates() {
-  for (const MigrationJob& j : jobs_) {
+  // Every pending job, every pass: the rate is a delta between consecutive
+  // samples, so skipping a pass would change it. Terminal jobs retire here.
+  std::size_t keep = 0;
+  for (const JobId id : sampled_) {
+    ++jobs_visited_;
+    const MigrationJob& j = jobs_[id];
+    if (j.terminal()) continue;
+    sampled_[keep++] = id;
     if (j.state != JobState::kPending) continue;
     const vm::DomainId d = j.request.domain->id();
-    const vm::BlkBackend& be = j.request.from->backend_for(d);
+    const vm::BlkBackend* be = j.request.from->find_backend(d);
     // Marks (not set-bits): a guest rewriting one hot window keeps a flat
     // set-bit count but a high re-dirty rate, and re-dirtying is exactly
     // what defeats pre-copy convergence.
-    const std::uint64_t count = be.tracking() ? be.dirty_marks_total() : 0;
+    const std::uint64_t count =
+        be != nullptr && be->tracking() ? be->dirty_marks_total() : 0;
 
     RateSample& rs = rates_[d];
     if (!rs.primed || count < rs.count) {
@@ -313,6 +419,7 @@ void Orchestrator::sample_dirty_rates() {
     rs.count = count;
     rs.at = sim_.now();
   }
+  sampled_.resize(keep);
 }
 
 JobView Orchestrator::view_of(const MigrationJob& j) const {
@@ -323,17 +430,17 @@ JobView Orchestrator::view_of(const MigrationJob& j) const {
     v.dirty_blocks_per_s = it->second.blocks_per_s;
   }
   const net::Link& link = j.request.from->link_to(*j.request.to);
-  const auto& geo = j.request.from->vbd_for(j.request.domain->id()).geometry();
-  v.link_blocks_per_s =
-      link.params().bandwidth_mibps * kMiB / static_cast<double>(geo.block_size);
+  v.link_blocks_per_s = link.params().bandwidth_mibps * kMiB /
+                        static_cast<double>(geometry_of(j).block_size);
   return v;
 }
 
 std::uint64_t Orchestrator::dirty_blocks_of(const MigrationJob& j) const {
-  const vm::BlkBackend& be = j.request.from->backend_for(j.request.domain->id());
-  if (be.tracking()) return be.dirty_block_count();
+  const hv::Host& from = *j.request.from;
+  const vm::BlkBackend* be = from.find_backend(j.request.domain->id());
+  if (be != nullptr && be->tracking()) return be->dirty_block_count();
   // Nothing tracked: the first pass copies the whole device.
-  return j.request.from->vbd_for(j.request.domain->id()).geometry().block_count;
+  return geometry_of(j).block_count;
 }
 
 void Orchestrator::arm_wakeup(sim::TimePoint t) {
@@ -347,20 +454,67 @@ void Orchestrator::arm_wakeup(sim::TimePoint t) {
   });
 }
 
-sim::TimePoint Orchestrator::next_pending_event() const {
-  sim::TimePoint next = sim::TimePoint::max();
-  for (const MigrationJob& j : jobs_) {
-    if (j.state != JobState::kPending) continue;
-    if (j.next_eligible > sim_.now()) next = std::min(next, j.next_eligible);
-    if (j.request.deadline > sim::Duration::zero()) {
-      const sim::TimePoint dl = j.submitted + j.request.deadline;
-      if (dl > sim_.now()) next = std::min(next, dl);
+sim::TimePoint Orchestrator::next_pending_event() {
+  while (!timers_.empty()) {
+    const Timer& t = timers_.top();
+    ++jobs_visited_;
+    const MigrationJob& j = jobs_[t.job];
+    Slot& s = slots_[t.job];
+    // A running job's deadline is not waited on; it is re-armed if the job
+    // comes back to the queue (enqueue).
+    const bool live =
+        j.state == JobState::kPending &&
+        (t.deadline || (s.queue == Queue::kTimer && j.next_eligible == t.at));
+    if (live) return t.at;
+    if (t.deadline) s.deadline_armed = false;
+    timers_.pop();
+  }
+  return sim::TimePoint::max();
+}
+
+std::uint32_t Orchestrator::source_of(const hv::Host& host) {
+  const auto [it, added] = source_index_.try_emplace(
+      &host, static_cast<std::uint32_t>(sources_.size()));
+  if (added) sources_.push_back(Source{.host = &host, .ready = {}});
+  return it->second;
+}
+
+void Orchestrator::enqueue(const MigrationJob& j) {
+  Slot& s = slots_[j.id];
+  if (j.next_eligible <= sim_.now()) {
+    make_ready(j);
+  } else {
+    s.queue = Queue::kTimer;
+    timers_.push(Timer{.at = j.next_eligible, .job = j.id});
+  }
+  if (j.request.deadline > sim::Duration::zero() && !s.deadline_armed) {
+    const sim::TimePoint dl = j.submitted + j.request.deadline;
+    if (dl > sim_.now()) {
+      timers_.push(Timer{.at = dl, .job = j.id, .deadline = true});
+      s.deadline_armed = true;
+    } else {
+      overdue_.push_back(j.id);
     }
   }
-  return next;
+}
+
+void Orchestrator::make_ready(const MigrationJob& j) {
+  Slot& s = slots_[j.id];
+  s.queue = Queue::kReady;
+  sources_[s.source].ready.emplace(j.request.priority, j.id);
+}
+
+void Orchestrator::dequeue(const MigrationJob& j) {
+  Slot& s = slots_[j.id];
+  if (s.queue == Queue::kReady) {
+    sources_[s.source].ready.erase(ReadyKey{j.request.priority, j.id});
+  }
+  s.queue = Queue::kNone;
 }
 
 void Orchestrator::mark_terminal(MigrationJob& j, JobState state) {
+  dequeue(j);
+  active_domains_.erase(j.request.domain->id());
   j.state = state;
   j.finished = sim_.now();
   completion_order_.push_back(j.id);

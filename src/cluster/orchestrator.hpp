@@ -2,8 +2,16 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
+#include <queue>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "cluster/admission.hpp"
@@ -55,6 +63,29 @@ struct OrchestratorConfig {
   obs::Rollup* rollup = nullptr;
 };
 
+/// Why Orchestrator::submit refused a request.
+enum class SubmitRejection : std::uint8_t {
+  kNullArgument,     ///< null domain, source or destination
+  kSameHost,         ///< source and destination are the same host
+  kNotConnected,     ///< no link (eager or lazy mesh) from source to dest
+  kNotOnSource,      ///< the source host does not host the domain
+  kDuplicateDomain,  ///< the domain already has a queued or running job
+};
+
+const char* to_string(SubmitRejection r);
+
+/// Thrown by Orchestrator::submit for a request it cannot run. Derives from
+/// std::invalid_argument, so callers catching that keep working.
+class SubmitError : public std::invalid_argument {
+ public:
+  SubmitError(SubmitRejection reason, const std::string& what)
+      : std::invalid_argument(what), reason_{reason} {}
+  SubmitRejection reason() const noexcept { return reason_; }
+
+ private:
+  SubmitRejection reason_;
+};
+
 /// Cluster migration orchestrator: accepts a queue of MigrationRequests and
 /// drives every one to a terminal state across N hosts — admission-
 /// controlled concurrency (per source, per destination, per link), a
@@ -64,6 +95,10 @@ struct OrchestratorConfig {
 /// Single-threaded and deterministic like everything above the simulator:
 /// the same job set on the same seed yields byte-identical completion
 /// order, outcomes, and exported traces.
+///
+/// A scheduling pass touches only the jobs whose state changed plus the
+/// head of each open source's ready queue (docs/CLUSTER.md, "Scheduling
+/// cost"); terminal and running jobs are in no queue.
 ///
 /// Lifetime: declare after the Simulator and MigrationManager and keep
 /// alive until the simulator drains; run() and the per-job runners are root
@@ -79,9 +114,11 @@ class Orchestrator {
   Orchestrator(sim::Simulator& sim, core::MigrationManager& mgr,
                OrchestratorConfig cfg = {});
 
-  /// Enqueue one migration. Throws std::invalid_argument on a null
-  /// domain/from/to or an unconnected host pair. May be called while run()
-  /// is active (e.g. from a workload script reacting to events).
+  /// Enqueue one migration. Throws SubmitError (an std::invalid_argument)
+  /// on a null domain/from/to, from == to, an unconnected host pair, a
+  /// domain `from` does not host, or a domain that already has a
+  /// non-terminal job. May be called while run() is active (e.g. from a
+  /// workload script reacting to events).
   JobId submit(core::MigrationRequest req);
 
   /// Plan a drain of `from` over the connected `dests` by free capacity
@@ -115,25 +152,77 @@ class Orchestrator {
   /// High-water mark of concurrently-running migrations.
   int peak_running() const noexcept { return peak_running_; }
   const AdmissionControl& admission() const noexcept { return admission_; }
+  /// Job records touched by scheduling passes so far: timer-heap entries
+  /// popped or peeked, ready-queue entries examined, and jobs sampled for
+  /// their dirty rate. Deterministic; it grows linearly with the job count
+  /// under FIFO (docs/CLUSTER.md).
+  std::uint64_t jobs_visited() const noexcept { return jobs_visited_; }
 
  private:
+  /// Where a pending job waits: in the timer heap until its backoff ends,
+  /// then in its source's ready queue. Running and terminal jobs are in
+  /// neither.
+  enum class Queue : std::uint8_t { kNone, kTimer, kReady };
+  /// Scheduling bookkeeping per job, indexed by JobId alongside jobs_.
+  struct Slot {
+    std::uint32_t source = 0;     ///< index into sources_
+    Queue queue = Queue::kNone;
+    bool deadline_armed = false;  ///< the job's deadline entry is in timers_
+  };
+  /// Ready-queue key (priority, id), ordered priority descending, then id
+  /// ascending: the queue order every policy breaks ties by.
+  using ReadyKey = std::pair<int, JobId>;
+  struct ReadyOrder {
+    bool operator()(const ReadyKey& a, const ReadyKey& b) const noexcept {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    }
+  };
+  /// Pending jobs past their backoff, per source host, in queue order.
+  struct Source {
+    const hv::Host* host = nullptr;
+    std::set<ReadyKey, ReadyOrder> ready;
+  };
+  /// A backoff end (`deadline` false) or a deadline. Entries are dropped
+  /// lazily once their job no longer waits on them; ties pop in job order.
+  struct Timer {
+    sim::TimePoint at{};
+    JobId job = 0;
+    bool deadline = false;
+    bool operator>(const Timer& o) const noexcept {
+      if (at != o.at) return at > o.at;
+      if (job != o.job) return job > o.job;
+      return deadline > o.deadline;
+    }
+  };
+
   sim::Task<void> job_runner(JobId id);
   void on_finished(JobId id, core::MigrationOutcome outcome);
   /// Launch every job the caps and policy allow right now. Returns true if
-  /// at least one launched.
+  /// the policy deferred the launchable set.
   bool launch_ready();
-  /// Fail pending jobs whose deadline has passed.
+  void launch(MigrationJob& j);
+  /// Pop every due timer: fail pending jobs whose deadline has passed (in
+  /// job order), then move jobs whose backoff has ended to the ready index.
   void expire_deadlines();
-  /// Update per-domain dirty-rate samples for pending jobs.
+  /// Update per-domain dirty-rate samples for pending jobs. Only the
+  /// cycle-aware policy reads them, so only it calls this.
   void sample_dirty_rates();
   JobView view_of(const MigrationJob& j) const;
   std::uint64_t dirty_blocks_of(const MigrationJob& j) const;
   /// Arm (or tighten) the wakeup timer to fire at `t`.
   void arm_wakeup(sim::TimePoint t);
   /// Next instant a pending job's backoff or deadline needs service, or
-  /// TimePoint::max() if none.
-  sim::TimePoint next_pending_event() const;
+  /// TimePoint::max() if none. Drops stale heap entries on the way.
+  sim::TimePoint next_pending_event();
   void mark_terminal(MigrationJob& j, JobState state);
+  /// Index of `host`'s ready queue, creating it on first use.
+  std::uint32_t source_of(const hv::Host& host);
+  /// File a pending job: ready now or at its backoff end, plus a deadline
+  /// entry if it has a deadline and none is armed.
+  void enqueue(const MigrationJob& j);
+  void make_ready(const MigrationJob& j);
+  /// Take a job out of whichever queue holds it.
+  void dequeue(const MigrationJob& j);
 
   sim::Simulator& sim_;
   core::MigrationManager& mgr_;
@@ -159,6 +248,23 @@ class Orchestrator {
     bool primed = false;
   };
   std::map<vm::DomainId, RateSample> rates_;
+
+  std::vector<Slot> slots_;
+  std::vector<Source> sources_;  ///< in order of first submission
+  std::unordered_map<const hv::Host*, std::uint32_t> source_index_;
+  std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
+  /// Jobs requeued after their deadline passed while they ran; expired by
+  /// the next scheduling pass.
+  std::vector<JobId> overdue_;
+  /// Non-terminal jobs in id order (cycle-aware policy only).
+  std::vector<JobId> sampled_;
+  /// Domains with a non-terminal job (lookup only).
+  std::unordered_set<vm::DomainId> active_domains_;
+  std::uint64_t jobs_visited_ = 0;
+  // Scratch reused across passes.
+  std::vector<JobId> due_;
+  std::vector<JobId> admissible_;
+  std::vector<JobView> eligible_;
 
   sim::Notifier wake_;
   bool wake_armed_ = false;

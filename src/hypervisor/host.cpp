@@ -1,6 +1,5 @@
 #include "hypervisor/host.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace vmig::hv {
@@ -15,34 +14,44 @@ Host::Host(sim::Simulator& sim, std::string name, storage::Geometry vbd_geometry
 
 storage::VirtualDisk& Host::vbd_for(vm::DomainId domain) {
   if (disk_owner_ == domain) return disk_;
-  for (auto& [id, vbd] : extra_vbds_) {
-    if (id == domain) return *vbd;
-  }
+  DomainSlot& slot = by_domain_[domain];
+  if (slot.vbd != nullptr) return *slot.vbd;
   // First domain claims the primary VBD; later ones get their own slice of
   // the physical disk.
   if (disk_owner_ == vm::kDomain0) {
     disk_owner_ = domain;
+    slot.vbd = &disk_;
     return disk_;
   }
-  extra_vbds_.emplace_back(
-      domain, std::make_unique<storage::VirtualDisk>(
-                  sim_, disk_.geometry(), physical_, store_payloads_));
-  return *extra_vbds_.back().second;
+  extra_vbds_.push_back(std::make_unique<storage::VirtualDisk>(
+      sim_, disk_.geometry(), physical_, store_payloads_));
+  slot.vbd = extra_vbds_.back().get();
+  return *slot.vbd;
+}
+
+const storage::VirtualDisk* Host::find_vbd(vm::DomainId domain) const {
+  if (disk_owner_ == domain) return &disk_;
+  const auto it = by_domain_.find(domain);
+  return it != by_domain_.end() ? it->second.vbd : nullptr;
+}
+
+void Host::index_backend(vm::BlkBackend& be) {
+  DomainSlot& slot = by_domain_[be.served_domain()];
+  if (slot.backend == nullptr) slot.backend = &be;
 }
 
 vm::BlkBackend* Host::ensure_default_backend() {
   if (backends_.empty()) {
     backends_.push_back(
         std::make_unique<vm::BlkBackend>(sim_, disk_, vm::kDomain0));
+    index_backend(*backends_.front());
   }
   return backends_.front().get();
 }
 
-vm::BlkBackend* Host::find_backend(vm::DomainId domain) {
-  for (auto& be : backends_) {
-    if (be->served_domain() == domain) return be.get();
-  }
-  return nullptr;
+const vm::BlkBackend* Host::find_backend(vm::DomainId domain) const {
+  const auto it = by_domain_.find(domain);
+  return it != by_domain_.end() ? it->second.backend : nullptr;
 }
 
 vm::BlkBackend& Host::backend_for(vm::DomainId domain) {
@@ -52,26 +61,34 @@ vm::BlkBackend& Host::backend_for(vm::DomainId domain) {
   // otherwise create a fresh per-VBD backend.
   if (!backends_.empty() && backends_.front()->served_domain() == vm::kDomain0 &&
       &backends_.front()->disk() == &vbd) {
-    backends_.front()->set_served(domain);
-    return *backends_.front();
+    vm::BlkBackend& def = *backends_.front();
+    def.set_served(domain);
+    // The default was the only backend serving Domain0; it now serves
+    // `domain`, which had none (find_backend above missed).
+    by_domain_[vm::kDomain0].backend = nullptr;
+    by_domain_[domain].backend = &def;
+    return def;
   }
   backends_.push_back(std::make_unique<vm::BlkBackend>(sim_, vbd, domain));
+  index_backend(*backends_.back());
   return *backends_.back();
 }
 
 void Host::attach_domain(vm::Domain& d) {
   domains_.push_back(&d);
+  hosted_.insert(&d);
   d.frontend().connect(&backend_for(d.id()));
 }
 
 void Host::detach_domain(vm::Domain& d) {
   std::erase(domains_, &d);
+  hosted_.erase(&d);
   auto* be = find_backend(d.id());
   if (be != nullptr && d.frontend().backend() == be) d.frontend().disconnect();
 }
 
 bool Host::hosts_domain(const vm::Domain& d) const {
-  return std::find(domains_.begin(), domains_.end(), &d) != domains_.end();
+  return hosted_.contains(&d);
 }
 
 net::Link& Host::materialize_link(const Host& peer, net::LinkParams params) {

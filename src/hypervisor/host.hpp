@@ -4,6 +4,8 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "net/link.hpp"
@@ -41,6 +43,9 @@ class Host {
   /// the host's geometry; persists across detach/attach (the IM base image
   /// and tracking bitmap live exactly as long as the VBD does).
   storage::VirtualDisk& vbd_for(vm::DomainId domain);
+  /// The VBD backing `domain` if this host has one; null otherwise. Never
+  /// creates — the lookup for observers that must not change placement.
+  const storage::VirtualDisk* find_vbd(vm::DomainId domain) const;
 
   /// The host's primary block backend (first VBD). Hosts serving several
   /// DomUs have one backend per domain — see backend_for().
@@ -53,8 +58,11 @@ class Host {
   /// backend persists across detach/attach cycles, which is what keeps the
   /// IM tracking bitmap alive while the VM is away. Creates one on demand.
   vm::BlkBackend& backend_for(vm::DomainId domain);
-  /// Null if this host never served `domain`.
-  vm::BlkBackend* find_backend(vm::DomainId domain);
+  /// Null if this host never served `domain`. Never creates.
+  vm::BlkBackend* find_backend(vm::DomainId domain) {
+    return const_cast<vm::BlkBackend*>(std::as_const(*this).find_backend(domain));
+  }
+  const vm::BlkBackend* find_backend(vm::DomainId domain) const;
 
   // ---- Domain placement ----
 
@@ -110,6 +118,9 @@ class Host {
  private:
   net::Link& materialize_link(const Host& peer, net::LinkParams params);
   vm::BlkBackend* ensure_default_backend();
+  /// Index a newly created backend under the domain it serves (the first
+  /// backend created for a domain is the one lookups return).
+  void index_backend(vm::BlkBackend& be);
 
   sim::Simulator& sim_;
   std::string name_;
@@ -119,11 +130,18 @@ class Host {
   storage::VirtualDisk disk_;  ///< primary VBD, on the physical disk
   vm::DomainId disk_owner_ = vm::kDomain0;  ///< domain the primary VBD serves
   /// Additional per-domain VBDs, created lazily, never destroyed.
-  std::vector<std::pair<vm::DomainId, std::unique_ptr<storage::VirtualDisk>>>
-      extra_vbds_;
+  std::vector<std::unique_ptr<storage::VirtualDisk>> extra_vbds_;
   /// One backend per served DomU, created lazily; index 0 is the default.
   std::vector<std::unique_ptr<vm::BlkBackend>> backends_;
+  /// O(1) per-domain lookup into disk_/extra_vbds_ and backends_ (never
+  /// iterated, so its hash order cannot reach any output).
+  struct DomainSlot {
+    storage::VirtualDisk* vbd = nullptr;
+    vm::BlkBackend* backend = nullptr;
+  };
+  std::unordered_map<vm::DomainId, DomainSlot> by_domain_;
   std::vector<vm::Domain*> domains_;
+  std::unordered_set<const vm::Domain*> hosted_;  ///< members of domains_
   std::unordered_map<const Host*, std::unique_ptr<net::Link>> links_;
   std::function<bool(const Host&)> mesh_oracle_;  ///< lazy-mesh admission
   net::LinkParams mesh_params_{};                 ///< params for lazy links

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -474,6 +476,141 @@ TEST(OrchestratorTest, EvacuationUnderDisruptionIsDeterministic) {
   EXPECT_EQ(a.metrics_csv, b.metrics_csv);
 }
 
+/// Everything a cross-commit golden pin compares: completion order, per-job
+/// "<status>/<attempts>" in id order, FNV-1a over every job's to_json
+/// report, and the retry/deferral totals.
+struct GoldenRun {
+  std::string order;
+  std::string outcomes;
+  std::uint64_t reports_fnv = 14695981039346656037ull;
+  std::uint64_t retries = 0;
+  std::uint64_t deferrals = 0;
+};
+
+/// A 16-host evacuation of 24 guests that exercises every scheduling path:
+/// hot writers (cycle-aware deferral), raised priorities, deadlines that
+/// expire in the queue, and, with `outage`, retries after link failures.
+GoldenRun run_golden(SchedulePolicyKind policy, bool outage) {
+  sim::Simulator sim;
+  auto bed = small_cluster(16);
+  bed.vbd_mib = 8;
+  // Slow enough that a hot writer's re-dirty rate counts as hot.
+  bed.lan.bandwidth_mibps = 100.0;
+  scenario::ClusterTestbed tb{sim, bed};
+  std::vector<vm::Domain*> vms;
+  for (int i = 0; i < 24; ++i) {
+    vms.push_back(&tb.add_vm("vm" + std::to_string(i), 0));
+  }
+  tb.prefill_disks();
+  // Guests tracked from the start offer smallest-dirty-first a small first
+  // pass; the rest count as a full copy.
+  for (int i = 1; i < 24; i += 4) {
+    tb.host(0)
+        .backend_for(vms[static_cast<std::size_t>(i)]->id())
+        .start_write_tracking(core::BitmapKind::kFlat);
+  }
+
+  bool stop_writers = false;
+  for (int i = 0; i < 24; i += 5) {
+    sim.spawn(hot_writer(&sim, vms[static_cast<std::size_t>(i)], &stop_writers));
+  }
+  bool* stop = &stop_writers;
+  sim.schedule_at(sim::TimePoint{} + 2_s, [stop] { *stop = true; });
+
+  Orchestrator orch{sim, tb.manager(),
+                    {.caps = {.per_source = 3, .per_dest = 1, .per_link = 1,
+                              .total = 6},
+                     .retry = {.max_attempts = 4,
+                               .initial_backoff = sim::Duration::millis(10)},
+                     .policy = policy,
+                     .poll_interval = sim::Duration::millis(10),
+                     .max_deferrals = 4}};
+  std::vector<core::MigrationRequest> reqs = EvacuationPlanner::requests(
+      tb.host(0), tb.hosts_except(0), quick_config());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    if (i % 7 == 3) reqs[i].priority = 5;
+    if (i % 6 == 4) reqs[i].deadline = sim::Duration::millis(40 + 10 * i);
+    orch.submit(std::move(reqs[i]));
+  }
+  if (outage) {
+    for (std::size_t h = 1; h < 16; ++h) {
+      const std::int64_t at_ms = 20 + 37 * static_cast<std::int64_t>(h);
+      tb.host(0).link_to(tb.host(h)).fail_at(
+          sim::TimePoint{} + sim::Duration::millis(at_ms), 25_ms);
+    }
+  }
+  orch.drain();
+
+  GoldenRun r;
+  for (const JobId id : orch.completion_order()) {
+    r.order += std::to_string(id) + ",";
+  }
+  for (std::size_t i = 0; i < orch.job_count(); ++i) {
+    const MigrationJob& j = orch.job(static_cast<JobId>(i));
+    r.outcomes += std::string{core::to_string(j.outcome.status)} + "/" +
+                  std::to_string(j.attempts) + ",";
+    for (const char c : core::to_json(j.outcome.report)) {
+      r.reports_fnv ^= static_cast<unsigned char>(c);
+      r.reports_fnv *= 1099511628211ull;
+    }
+  }
+  r.retries = orch.retries();
+  r.deferrals = orch.deferrals();
+  return r;
+}
+
+struct GoldenPin {
+  SchedulePolicyKind policy;
+  bool outage;
+  const char* order;
+  const char* outcomes;
+  std::uint64_t reports_fnv;
+  std::uint64_t retries;
+  std::uint64_t deferrals;
+};
+
+// Recorded before the orchestrator's scheduling-cost rework; any change to
+// these values means a policy's decisions changed.
+constexpr GoldenPin kGoldenPins[] = {
+    {SchedulePolicyKind::kFifo, false,
+     "4,16,3,17,22,10,1,2,0,6,5,7,8,9,11,12,13,14,18,19,15,21,23,20,",
+     "completed/1,completed/1,completed/1,completed/1,deadline-expired/0,completed/1,completed/1,completed/1,completed/1,completed/1,completed/1,completed/1,completed/1,completed/1,completed/1,completed/1,deadline-expired/0,completed/1,completed/1,completed/1,completed/1,completed/1,deadline-expired/0,completed/1,",
+     10461353721291408540ull, 0, 0},
+    {SchedulePolicyKind::kFifo, true,
+     "4,16,10,3,17,22,1,0,2,7,5,8,6,9,11,12,13,14,18,19,15,21,23,20,",
+     "completed/1,completed/2,completed/2,completed/1,deadline-expired/0,completed/2,completed/2,completed/1,completed/1,completed/1,deadline-expired/1,completed/1,completed/1,completed/1,completed/1,completed/1,deadline-expired/0,completed/1,completed/1,completed/1,completed/1,completed/1,deadline-expired/0,completed/1,",
+     4480096850898007535ull, 5, 0},
+    {SchedulePolicyKind::kSmallestDirtyFirst, false,
+     "4,10,16,17,1,9,22,13,21,5,3,2,0,6,7,8,11,12,14,18,15,19,23,20,",
+     "completed/1,completed/1,completed/1,completed/1,deadline-expired/0,completed/1,completed/1,completed/1,completed/1,completed/1,deadline-expired/0,completed/1,completed/1,completed/1,completed/1,completed/1,deadline-expired/0,completed/1,completed/1,completed/1,completed/1,completed/1,deadline-expired/0,completed/1,",
+     11110929738418414251ull, 0, 0},
+    {SchedulePolicyKind::kSmallestDirtyFirst, true,
+     "4,10,16,17,1,22,9,21,13,3,5,0,2,6,7,8,11,12,14,18,19,15,23,20,",
+     "completed/1,completed/1,completed/1,completed/2,deadline-expired/0,completed/2,completed/1,completed/1,completed/1,completed/2,deadline-expired/0,completed/1,completed/1,completed/2,completed/1,completed/1,deadline-expired/0,completed/1,completed/1,completed/1,completed/1,completed/1,deadline-expired/0,completed/1,",
+     10758844438299859615ull, 4, 0},
+    {SchedulePolicyKind::kWorkloadCycleAware, false,
+     "4,10,16,3,17,1,22,6,2,0,7,8,5,9,11,12,13,14,18,19,21,23,20,15,",
+     "completed/1,completed/1,completed/1,completed/1,deadline-expired/0,completed/1,completed/1,completed/1,completed/1,completed/1,deadline-expired/0,completed/1,completed/1,completed/1,completed/1,completed/1,deadline-expired/0,completed/1,completed/1,completed/1,completed/1,completed/1,deadline-expired/0,completed/1,",
+     15397171760428422008ull, 0, 4},
+    {SchedulePolicyKind::kWorkloadCycleAware, true,
+     "4,10,16,3,17,1,22,6,0,7,8,2,9,11,5,12,13,14,18,19,21,23,15,20,",
+     "completed/1,completed/1,completed/2,completed/1,deadline-expired/0,completed/1,completed/1,completed/1,completed/1,completed/1,deadline-expired/0,completed/1,completed/1,completed/1,completed/1,completed/1,deadline-expired/0,completed/1,completed/1,completed/1,completed/1,completed/1,deadline-expired/0,completed/1,",
+     15474856478948828779ull, 1, 4},
+};
+
+TEST(OrchestratorGoldenTest, EvacuationMatchesRecordedPins) {
+  for (const GoldenPin& pin : kGoldenPins) {
+    SCOPED_TRACE(std::string{make_policy(pin.policy)->name()} +
+                 (pin.outage ? " with outage" : " without outage"));
+    const GoldenRun r = run_golden(pin.policy, pin.outage);
+    EXPECT_EQ(r.order, pin.order);
+    EXPECT_EQ(r.outcomes, pin.outcomes);
+    EXPECT_EQ(r.reports_fnv, pin.reports_fnv);
+    EXPECT_EQ(r.retries, pin.retries);
+    EXPECT_EQ(r.deferrals, pin.deferrals);
+  }
+}
+
 TEST(OrchestratorTest, SubmitValidatesRequest) {
   sim::Simulator sim;
   scenario::ClusterTestbed tb{sim, small_cluster(2)};
@@ -485,6 +622,112 @@ TEST(OrchestratorTest, SubmitValidatesRequest) {
   EXPECT_THROW(orch.submit({.domain = &g, .from = &tb.host(0),
                             .to = &tb.host(0)}),
                std::invalid_argument);
+}
+
+/// The rejection reason of `submit(req)`, or nullopt if it was accepted.
+std::optional<SubmitRejection> rejection(Orchestrator& orch,
+                                         core::MigrationRequest req) {
+  try {
+    orch.submit(std::move(req));
+  } catch (const SubmitError& e) {
+    return e.reason();
+  }
+  return std::nullopt;
+}
+
+TEST(OrchestratorTest, SubmitRejectionsCarryTheirReason) {
+  sim::Simulator sim;
+  scenario::ClusterTestbed tb{sim, small_cluster(3)};
+  vm::Domain& g = tb.add_vm("g", 0);
+  tb.prefill_disks();
+  // A host outside the testbed's mesh.
+  hv::Host island{sim, "island", tb.host(0).disk().geometry()};
+  Orchestrator orch{sim, tb.manager(), {}};
+
+  EXPECT_EQ(rejection(orch, {.domain = nullptr, .from = &tb.host(0),
+                             .to = &tb.host(1)}),
+            SubmitRejection::kNullArgument);
+  EXPECT_EQ(rejection(orch, {.domain = &g, .from = &tb.host(0),
+                             .to = &tb.host(0)}),
+            SubmitRejection::kSameHost);
+  EXPECT_EQ(rejection(orch, {.domain = &g, .from = &tb.host(0),
+                             .to = &island}),
+            SubmitRejection::kNotConnected);
+  EXPECT_EQ(rejection(orch, {.domain = &g, .from = &tb.host(1),
+                             .to = &tb.host(2)}),
+            SubmitRejection::kNotOnSource);
+  EXPECT_EQ(rejection(orch, {.domain = &g, .from = &tb.host(0),
+                             .to = &tb.host(1), .config = quick_config()}),
+            std::nullopt);
+  EXPECT_EQ(rejection(orch, {.domain = &g, .from = &tb.host(0),
+                             .to = &tb.host(2), .config = quick_config()}),
+            SubmitRejection::kDuplicateDomain);
+  EXPECT_STREQ(to_string(SubmitRejection::kDuplicateDomain),
+               "duplicate-domain");
+  EXPECT_EQ(orch.job_count(), 1u);
+
+  // Once its job is terminal the domain may move again, from where it now
+  // lives.
+  orch.drain();
+  ASSERT_TRUE(orch.job(0).outcome.ok());
+  EXPECT_EQ(rejection(orch, {.domain = &g, .from = &tb.host(1),
+                             .to = &tb.host(2), .config = quick_config()}),
+            std::nullopt);
+  orch.drain();
+  EXPECT_EQ(orch.jobs_completed(), 2u);
+  EXPECT_TRUE(tb.host(2).hosts_domain(g));
+}
+
+TEST(OrchestratorTest, WrongSourceIsRejectedNotMigrated) {
+  sim::Simulator sim;
+  scenario::ClusterTestbed tb{sim, small_cluster(3)};
+  vm::Domain& g = tb.add_vm("g", 0);
+  tb.prefill_disks();
+  Orchestrator orch{sim, tb.manager(), {}};
+  // Without the check this request "completed": host1 created an empty VBD
+  // for g, its 4096 blocks were copied to host2, and g ended up listed on
+  // both host0 and host2.
+  EXPECT_EQ(rejection(orch, {.domain = &g, .from = &tb.host(1),
+                             .to = &tb.host(2), .config = quick_config()}),
+            SubmitRejection::kNotOnSource);
+  orch.drain();
+  EXPECT_EQ(orch.job_count(), 0u);
+  EXPECT_TRUE(tb.host(0).hosts_domain(g));
+  EXPECT_FALSE(tb.host(1).hosts_domain(g));
+  EXPECT_FALSE(tb.host(2).hosts_domain(g));
+  // The rejected request created nothing on the wrong source.
+  EXPECT_EQ(tb.host(1).find_vbd(g.id()), nullptr);
+  EXPECT_EQ(tb.host(1).find_backend(g.id()), nullptr);
+}
+
+/// Job records a FIFO evacuation of `guests` guests makes the scheduler
+/// touch.
+std::uint64_t fifo_evacuation_visits(int guests) {
+  sim::Simulator sim;
+  auto bed = small_cluster(17);
+  bed.vbd_mib = 1;
+  bed.guest_mem_mib = 1;
+  scenario::ClusterTestbed tb{sim, bed};
+  for (int i = 0; i < guests; ++i) tb.add_vm("vm" + std::to_string(i), 0);
+  tb.prefill_disks();
+  Orchestrator orch{sim, tb.manager(),
+                    {.caps = {.per_source = 4, .per_dest = 2, .per_link = 1,
+                              .total = 16}}};
+  orch.submit_evacuation(tb.host(0), tb.hosts_except(0), quick_config());
+  orch.drain();
+  EXPECT_EQ(orch.jobs_completed(), static_cast<std::uint64_t>(guests));
+  return orch.jobs_visited();
+}
+
+TEST(OrchestratorTest, SchedulingWorkGrowsLinearlyWithJobs) {
+  const std::uint64_t n = fifo_evacuation_visits(64);
+  const std::uint64_t n2 = fifo_evacuation_visits(128);
+  EXPECT_GT(n, 0u);
+  // A pass visits the jobs that changed plus each open source's queue
+  // head, so doubling the jobs about doubles the work. A scan over every
+  // job per pass would quadruple it.
+  EXPECT_LE(static_cast<double>(n2), 2.2 * static_cast<double>(n))
+      << "visits(64) = " << n << ", visits(128) = " << n2;
 }
 
 TEST(RetryPolicyTest, ExponentialBackoffIsCapped) {

@@ -77,6 +77,25 @@ TEST(HostTest, DefaultBackendClaimedByFirstDomain) {
   EXPECT_EQ(default_be.served_domain(), 9u);
 }
 
+TEST(HostTest, FindLookupsNeverCreate) {
+  Simulator sim;
+  Host h{sim, "h", Geometry::from_mib(16)};
+  vm::Domain d{sim, 7, "d", 4};
+  h.attach_domain(d);
+  EXPECT_EQ(h.find_vbd(7), &h.vbd_for(7));
+  EXPECT_EQ(h.find_backend(7), &h.backend_for(7));
+  // Misses return null and leave the host as it was.
+  EXPECT_EQ(h.find_vbd(8), nullptr);
+  EXPECT_EQ(h.find_backend(8), nullptr);
+  EXPECT_EQ(h.find_vbd(8), nullptr);
+  // The creating forms still create on a miss.
+  EXPECT_NE(&h.vbd_for(8), &h.vbd_for(7));
+  EXPECT_NE(h.find_vbd(8), nullptr);
+  EXPECT_EQ(h.find_backend(8), nullptr);
+  EXPECT_EQ(&h.backend_for(8).disk(), h.find_vbd(8));
+  EXPECT_EQ(h.find_backend(8), &h.backend_for(8));
+}
+
 TEST(HostTest, Interconnect) {
   Simulator sim;
   Host a{sim, "a", Geometry::from_mib(16)};

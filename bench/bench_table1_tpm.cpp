@@ -6,11 +6,25 @@
 // 39097 / 39072 / 40934 MB for dynamic-web / low-latency / diabolical.
 // (The paper's "amount of migrated data" counts disk data: web is 39070 MB
 // of VBD + 27 MB of retransfer; our disk-data column compares against it.)
+//
+// Usage: bench_table1_tpm [--json FILE]
+//   --json FILE  run under obs::Profiler and write flat metrics for the
+//                baseline gate (bench/baselines/BENCH_table1.json): each
+//                row's simulated results, the deterministic work behind
+//                them (events, calendar probes, blocks scanned), and the
+//                per-layer profile (prof.<category>.excl_ms, ns per block
+//                scanned). Each 10M-block first pass must cost time in
+//                proportion to the blocks moved, not to the disk squared.
 
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
+#include "obs/profiler.hpp"
 #include "scenario/testbed.hpp"
 #include "workloads/diabolical.hpp"
 #include "workloads/streaming.hpp"
@@ -23,6 +37,7 @@ namespace {
 
 struct Row {
   const char* name;
+  const char* key;  ///< metric prefix in the --json output
   double paper_total_s;
   double paper_down_ms;
   double paper_data_mb;
@@ -38,6 +53,8 @@ double disk_data_mib(const core::MigrationReport& r) {
 struct WlOutcome {
   core::MigrationReport rep;
   std::uint64_t stream_stalls = 0;  ///< streaming only: missed deadlines
+  std::uint64_t events = 0;
+  std::uint64_t calendar_probes = 0;
 };
 
 WlOutcome run_workload(int which) {
@@ -62,25 +79,47 @@ WlOutcome run_workload(int which) {
     out.stream_stalls =
         static_cast<workload::StreamingWorkload*>(wl.get())->stalls();
   }
+  out.events = sim.events_processed();
+  out.calendar_probes = sim.calendar_probes();
   return out;
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  std::string json_out;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view a{argv[i]};
+    if (a == "--json" && i + 1 < argc) {
+      json_out = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: %s [--json FILE]\n", argv[0]);
+      return 2;
+    }
+  }
+  obs::Profiler profiler;
+  if (!json_out.empty()) profiler.activate();
+
   bench::header("Table I", "TPM results for different workloads");
 
   Row rows[] = {
-      {"Dynamic web server", 796.0, 60.0, 39097.0, {}},
-      {"Low latency server", 798.0, 62.0, 39072.0, {}},
-      {"Diabolical server", 957.0, 110.0, 40934.0, {}},
+      {"Dynamic web server", "web", 796.0, 60.0, 39097.0, {}},
+      {"Low latency server", "stream", 798.0, 62.0, 39072.0, {}},
+      {"Diabolical server", "diabolical", 957.0, 110.0, 40934.0, {}},
   };
   std::uint64_t stream_stalls = 0;
+  std::uint64_t events = 0;
+  std::uint64_t calendar_probes = 0;
+  obs::WallStopwatch wall;
   for (int i = 0; i < 3; ++i) {
     const auto outcome = run_workload(i);
     rows[i].rep = outcome.rep;
     if (i == 1) stream_stalls = outcome.stream_stalls;
+    events += outcome.events;
+    calendar_probes += outcome.calendar_probes;
   }
+  const double wall_ms = wall.elapsed_ms();
+  obs::Profiler::deactivate();
 
   std::printf("\n%-22s | %-21s | %-21s | %-23s\n", "", "Total migration (s)",
               "Downtime (ms)", "Disk data moved (MB)");
@@ -127,5 +166,40 @@ int main() {
               "paper: \"no observable intermission\")\n",
               stream_stalls == 0 ? "yes" : "NO",
               static_cast<unsigned long long>(stream_stalls));
+
+  if (!json_out.empty()) {
+    const auto& scan = profiler.stats(obs::ProfCategory::kBitmapScan);
+    bench::section("work and self-profile (wall clock)");
+    std::printf("  wall %.1f ms, %llu events, %llu calendar probes, "
+                "%llu blocks scanned\n%s",
+                wall_ms, static_cast<unsigned long long>(events),
+                static_cast<unsigned long long>(calendar_probes),
+                static_cast<unsigned long long>(scan.events),
+                profiler.table().c_str());
+    std::vector<std::pair<std::string, double>> kv;
+    for (const auto& r : rows) {
+      const std::string p = std::string{"table1."} + r.key + ".";
+      kv.emplace_back(p + "total_s", r.rep.total_time().to_seconds());
+      kv.emplace_back(p + "downtime_ms", r.rep.downtime().to_millis());
+      kv.emplace_back(p + "disk_mib", disk_data_mib(r.rep));
+      kv.emplace_back(p + "consistent",
+                      r.rep.disk_consistent && r.rep.memory_consistent ? 1 : 0);
+    }
+    kv.emplace_back("table1.events", static_cast<double>(events));
+    kv.emplace_back("table1.calendar_probes",
+                    static_cast<double>(calendar_probes));
+    kv.emplace_back("table1.blocks_scanned", static_cast<double>(scan.events));
+    kv.emplace_back("table1.wall_ms", wall_ms);
+    kv.emplace_back("table1.scan_ns_per_block",
+                    scan.events > 0 ? static_cast<double>(scan.exclusive_ns) /
+                                          static_cast<double>(scan.events)
+                                    : 0.0);
+    for (auto& m : profiler.flat_metrics()) kv.push_back(std::move(m));
+    if (!bench::write_flat_json(json_out.c_str(), kv)) {
+      std::fprintf(stderr, "error: cannot write %s\n", json_out.c_str());
+      return 2;
+    }
+    std::printf("  metrics -> %s\n", json_out.c_str());
+  }
   return 0;
 }

@@ -32,66 +32,101 @@ struct SetRun {
 /// this contract and instantiated per kind, so iteration advances a word
 /// (64 bits) — not a bit — per step, with `popcount`/`countr_zero` doing the
 /// in-word work.
+///
+/// Every scan takes an exclusive `limit` and loads no leaf word past the one
+/// holding bit `limit - 1`, so a bounded query costs O(window / 64) words
+/// however far the set (or clear) stretch beyond it reaches.
 namespace wordops {
 
-/// Index of the first set bit at or after `from`; nullopt if none.
+// vmig-lint: hot-begin -- bounded run scan: the pre-copy reader and the
+// post-copy push/intake call these once per chunk; they must stay
+// allocation-free and load only the words of their window
+
+/// Index of the first set bit in [from, limit); nullopt if none.
 template <typename BM>
-std::optional<std::uint64_t> next_set(const BM& bm, std::uint64_t from) {
-  if (from >= bm.size()) return std::nullopt;
-  const std::uint64_t nw = bm.word_count();
+std::optional<std::uint64_t> next_set_before(const BM& bm, std::uint64_t from,
+                                             std::uint64_t limit) {
+  if (limit > bm.size()) limit = bm.size();
+  if (from >= limit) return std::nullopt;
+  const std::uint64_t last = (limit - 1) >> 6;
   std::uint64_t wi = from >> 6;
   std::uint64_t w = bm.leaf_word(wi) & (~std::uint64_t{0} << (from & 63));
   for (;;) {
     if (w != 0) {
-      return wi * 64 + static_cast<std::uint64_t>(std::countr_zero(w));
+      const std::uint64_t i =
+          wi * 64 + static_cast<std::uint64_t>(std::countr_zero(w));
+      return i < limit ? std::optional<std::uint64_t>{i} : std::nullopt;
     }
     wi = bm.skip_to_live(wi + 1);
-    if (wi >= nw) return std::nullopt;
+    if (wi > last) return std::nullopt;
     w = bm.leaf_word(wi);
   }
 }
 
-/// Index of the first *clear* bit at or after `from`; size() if none.
-/// Clear bits have no skip hierarchy, but any word that is not all-ones
-/// stops the scan, so the cost is one load per 64 bits of solid dirt.
+/// Index of the first set bit at or after `from`; nullopt if none.
 template <typename BM>
-std::uint64_t next_clear(const BM& bm, std::uint64_t from) {
-  const std::uint64_t size = bm.size();
-  if (from >= size) return size;
-  const std::uint64_t nw = bm.word_count();
+std::optional<std::uint64_t> next_set(const BM& bm, std::uint64_t from) {
+  return next_set_before(bm, from, bm.size());
+}
+
+/// Index of the first *clear* bit in [from, limit); `limit` if every bit in
+/// the window is set. Clear bits have no skip hierarchy, but any word that
+/// is not all-ones stops the scan, so the cost is one load per 64 bits of
+/// solid dirt — inside the window only.
+template <typename BM>
+std::uint64_t next_clear_before(const BM& bm, std::uint64_t from,
+                                std::uint64_t limit) {
+  if (limit > bm.size()) limit = bm.size();
+  if (from >= limit) return limit;
+  const std::uint64_t last = (limit - 1) >> 6;
   std::uint64_t wi = from >> 6;
   std::uint64_t w = ~bm.leaf_word(wi) & (~std::uint64_t{0} << (from & 63));
   for (;;) {
     if (w != 0) {
       const std::uint64_t i =
           wi * 64 + static_cast<std::uint64_t>(std::countr_zero(w));
-      return i < size ? i : size;
+      return i < limit ? i : limit;
     }
-    if (++wi >= nw) return size;
+    if (++wi > last) return limit;
     w = ~bm.leaf_word(wi);
   }
 }
 
+/// Index of the first *clear* bit at or after `from`; size() if none.
+template <typename BM>
+std::uint64_t next_clear(const BM& bm, std::uint64_t from) {
+  return next_clear_before(bm, from, bm.size());
+}
+
+/// End of a window of at most `max_len` bits starting at `from`, clipped to
+/// `end` (overflow-safe for max_len = ~0).
+inline std::uint64_t window_end(std::uint64_t from, std::uint64_t end,
+                                std::uint64_t max_len) {
+  return from < end && max_len < end - from ? from + max_len : end;
+}
+
 /// Length of the run of consecutive set bits starting exactly at `from`
-/// (`from` must be set), capped at `max_len`.
+/// (`from` must be set), capped at `max_len`. Costs O(max_len / 64) words.
 template <typename BM>
 std::uint64_t run_length(const BM& bm, std::uint64_t from, std::uint64_t max_len) {
-  const std::uint64_t stop = next_clear(bm, from);
-  const std::uint64_t n = stop - from;
-  return n < max_len ? n : max_len;
+  if (from >= bm.size()) return 0;
+  return next_clear_before(bm, from, window_end(from, bm.size(), max_len)) -
+         from;
 }
 
 /// The next set run at or after `from`, clipped to [from, end); nullopt when
 /// no set bit remains in the window. `max_len` caps the run (transfer chunk).
+/// Loads no word past min(start + max_len, end, size()).
 template <typename BM>
 std::optional<SetRun> next_set_run(const BM& bm, std::uint64_t from,
                                    std::uint64_t end, std::uint64_t max_len) {
-  const auto s = next_set(bm, from);
-  if (!s.has_value() || *s >= end) return std::nullopt;
-  std::uint64_t len = run_length(bm, *s, max_len);
-  if (*s + len > end) len = end - *s;
-  return SetRun{*s, len};
+  const auto s = next_set_before(bm, from, end);
+  if (!s.has_value()) return std::nullopt;
+  const std::uint64_t stop =
+      next_clear_before(bm, *s, window_end(*s, end, max_len));
+  return SetRun{*s, stop - *s};
 }
+// vmig-lint: hot-end
 
 /// Invoke f(index) for each set bit in [start, start + count), ascending.
 template <typename BM, typename F>

@@ -1,8 +1,10 @@
 #include "simcore/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/profiler.hpp"
@@ -79,6 +81,9 @@ Simulator::TimerId Simulator::schedule_at(TimePoint t, std::function<void()> fn)
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();  // vmig-lint: h2-ok -- arena growth: happens once
                             // per high-water mark, then slots recycle
+    // The free list never holds more slots than the arena, so sizing it
+    // with the arena keeps the frees in step() off the allocator.
+    free_slots_.reserve(slots_.capacity());
   }
   const std::uint32_t si =
       current_shard_ < shards_.size() ? current_shard_ : 0;
@@ -156,11 +161,7 @@ void Simulator::place(Shard& sh, const Entry& e) {
     // Chain a pooled node onto the day's bucket: no allocation even for a
     // bucket touched for the first time (the old vector-per-bucket layout
     // cold-started every bucket's capacity).
-    const std::uint32_t n = alloc_node(e);
-    auto& head = sh.bucket_head[b & kBucketMask];
-    nodes_[n].next = head;
-    head = n;
-    ++sh.ring_count;
+    push_bucket(sh, alloc_node(e), b);
   } else {
     const std::uint32_t n = alloc_node(e);
     nodes_[n].next = sh.overflow_head;
@@ -177,14 +178,19 @@ void Simulator::place_node(Shard& sh, std::uint32_t n) {
     sh.agenda.insert(pos, e);  // vmig-lint: h2-ok -- retained capacity
     free_nodes_.push_back(n);  // vmig-lint: h2-ok -- retained capacity
   } else if (b - sh.epoch_bucket < kBuckets) {
-    auto& head = sh.bucket_head[b & kBucketMask];
-    nodes_[n].next = head;
-    head = n;
-    ++sh.ring_count;
+    push_bucket(sh, n, b);
   } else {
     nodes_[n].next = sh.overflow_head;
     sh.overflow_head = n;
   }
+}
+
+void Simulator::push_bucket(Shard& sh, std::uint32_t n, std::uint64_t b) {
+  const std::uint64_t slot = b & kBucketMask;
+  nodes_[n].next = sh.bucket_head[slot];
+  sh.bucket_head[slot] = n;
+  sh.occupied[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  ++sh.ring_count;
 }
 // vmig-lint: hot-end
 
@@ -246,13 +252,25 @@ void Simulator::refill_agenda(Shard& sh) {
       }
       continue;
     }
+    // Skip this year's empty days in one move. Stepping onto an empty day
+    // that is not a year boundary does nothing, so landing on the next
+    // occupied day — or, when none is left this year, on the year's last
+    // day so the step below crosses the boundary — drains the same buckets
+    // in the same order, and sweeps the overflow at the same crossings, as
+    // a one-day-at-a-time walk.
+    const std::uint64_t slot = sh.epoch_bucket & kBucketMask;
+    const std::uint64_t next = next_occupied(sh, slot + 1);
+    sh.epoch_bucket += (next == kBuckets ? kBucketMask : next - 1) - slot;
     ++sh.epoch_bucket;
     if ((sh.epoch_bucket & kBucketMask) == 0 && sh.overflow_head != kNil) {
       sweep_overflow(sh);  // crossed into a new year: pull overflow forward
     }
-    std::uint32_t n = sh.bucket_head[sh.epoch_bucket & kBucketMask];
+    const std::uint64_t day = sh.epoch_bucket & kBucketMask;
+    ++calendar_probes_;
+    std::uint32_t n = sh.bucket_head[day];
     if (n == kNil) continue;
-    sh.bucket_head[sh.epoch_bucket & kBucketMask] = kNil;
+    sh.bucket_head[day] = kNil;
+    sh.occupied[day >> 6] &= ~(std::uint64_t{1} << (day & 63));
     while (n != kNil) {
       const std::uint32_t next = nodes_[n].next;
       --sh.ring_count;
@@ -264,6 +282,20 @@ void Simulator::refill_agenda(Shard& sh) {
       n = next;
     }
     std::sort(sh.agenda.begin(), sh.agenda.end(), AgendaCmp{});
+  }
+}
+
+std::uint64_t Simulator::next_occupied(const Shard& sh, std::uint64_t from) {
+  std::uint64_t wi = from >> 6;
+  if (wi >= kOccupancyWords) return kBuckets;
+  std::uint64_t w = sh.occupied[wi] & (~std::uint64_t{0} << (from & 63));
+  for (;;) {
+    ++calendar_probes_;
+    if (w != 0) {
+      return wi * 64 + static_cast<std::uint64_t>(std::countr_zero(w));
+    }
+    if (++wi == kOccupancyWords) return kBuckets;
+    w = sh.occupied[wi];
   }
 }
 
@@ -339,10 +371,20 @@ const Simulator::Entry* Simulator::peek_global(std::uint32_t* si) {
 }
 
 bool Simulator::step() {
+  return step_until(std::numeric_limits<std::int64_t>::max());
+}
+
+bool Simulator::step_until(std::int64_t limit_ns) {
   rethrow_pending();
+  // Finding the event (agenda refill, overflow sweeps, head-key upkeep) is
+  // dispatch work too, so the scope opens before the peek. The handler runs
+  // every coroutine it resumes to its next suspension, so nested probe
+  // scopes (bitmap scan, pull path, ...) land inside this one; dispatch
+  // overhead is the scope's *exclusive* time.
+  obs::ProfScope prof{obs::ProfCategory::kSimDispatch};
   std::uint32_t si = 0;
   const Entry* pe = peek_global(&si);
-  if (pe == nullptr) return false;
+  if (pe == nullptr || pe->t_ns > limit_ns) return false;
   Shard& sh = shards_[si];
   const Entry e = *pe;
   sh.agenda.pop_back();
@@ -377,14 +419,8 @@ bool Simulator::step() {
                  static_cast<unsigned long long>(id), now_.to_seconds());
   }
   current_shard_ = si;
-  {
-    // The handler runs every coroutine it resumes to its next suspension,
-    // so nested probe scopes (bitmap scan, pull path, ...) land inside
-    // this one; dispatch overhead is the scope's *exclusive* time.
-    obs::ProfScope prof{obs::ProfCategory::kSimDispatch};
-    obs::prof_count(obs::ProfCategory::kSimDispatch);
-    fn();
-  }
+  obs::prof_count(obs::ProfCategory::kSimDispatch);
+  fn();
   current_shard_ = 0;
   if (shards_.size() > 1 && si < shards_.size()) {
     // Restore the head-key invariant for the fired shard (the handler may
@@ -409,14 +445,7 @@ std::size_t Simulator::run() {
 
 std::size_t Simulator::run_until(TimePoint t) {
   std::size_t n = 0;
-  for (;;) {
-    rethrow_pending();
-    std::uint32_t si = 0;
-    const Entry* pe = peek_global(&si);
-    if (pe == nullptr || pe->t_ns > t.ns()) break;
-    step();
-    ++n;
-  }
+  while (step_until(t.ns())) ++n;
   if (now_ < t) now_ = t;
   reap_finished_roots();
   return n;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -109,10 +110,12 @@ class DelayAwaiter {
 /// arranged in a ring of "days"; events beyond one ring revolution (a
 /// "year") wait in an overflow list. Insert is O(1) amortized (append to a
 /// day bucket), extract is pop-from-sorted-agenda; only the current day's
-/// handful of events is ever sorted. Cancellation is lazy — a
-/// generation-checked slot arena marks the timer dead and the queue entry is
-/// dropped when encountered — so cancel is O(1) and never rummages through
-/// buckets. All steady-state structures (slot arena, day buckets, agenda,
+/// handful of events is ever sorted, and a per-shard occupancy bitmap lets
+/// the refill skip empty days 64 at a time, so millisecond-spaced events
+/// cost a few word probes each rather than one probe per empty day.
+/// Cancellation is lazy — a generation-checked slot arena marks the timer
+/// dead and the queue entry is dropped when encountered — so cancel is O(1)
+/// and never rummages through buckets. All steady-state structures (slot arena, day buckets, agenda,
 /// overflow) recycle their storage, so schedule/fire/cancel cycles allocate
 /// nothing once warm.
 ///
@@ -161,6 +164,10 @@ class Simulator {
   bool has_pending() const noexcept { return live_count_ > 0; }
   std::size_t pending_count() const noexcept { return live_count_; }
   std::uint64_t events_processed() const noexcept { return events_processed_; }
+  /// Calendar work spent finding events: ring buckets plus occupancy words
+  /// the agenda refill inspected. Deterministic, and it grows with the
+  /// events fired, not with the simulated idle time between them.
+  std::uint64_t calendar_probes() const noexcept { return calendar_probes_; }
 
   // ---- Observer-tick census ----
   // Self-re-arming observer timers (the Registry and Rollup samplers) park
@@ -287,6 +294,7 @@ class Simulator {
   static constexpr std::uint64_t kBucketShift = 13;  // 2^13 ns bucket width
   static constexpr std::uint64_t kBuckets = 8192;    // power of two
   static constexpr std::uint64_t kBucketMask = kBuckets - 1;
+  static constexpr std::uint64_t kOccupancyWords = kBuckets / 64;
 
   /// One armed (or recycled) timer. `gen` distinguishes a live timer from a
   /// stale queue entry pointing at a recycled slot; it is never 0 so a
@@ -330,6 +338,9 @@ class Simulator {
   struct Shard {
     std::vector<Entry> agenda;                 ///< current-day events, sorted desc
     std::vector<std::uint32_t> bucket_head;    ///< ring of future days (chains)
+    /// One bit per ring bucket holding a chain, so refill_agenda jumps
+    /// straight to the next non-empty day instead of walking empty ones.
+    std::array<std::uint64_t, kOccupancyWords> occupied{};
     std::uint32_t overflow_head = kNil;        ///< events >= one year out
     std::uint64_t epoch_bucket = 0;            ///< day the agenda was drawn from
     std::size_t ring_count = 0;                ///< entries resident in buckets
@@ -380,6 +391,10 @@ class Simulator {
   /// Re-file an existing pooled node after an epoch move (agenda inserts
   /// free the node; bucket/overflow placements re-link it).
   void place_node(Shard& sh, std::uint32_t n);
+  /// Chain node `n` onto ring bucket `b` and mark the bucket occupied.
+  void push_bucket(Shard& sh, std::uint32_t n, std::uint64_t b);
+  /// First occupied ring slot in [from, kBuckets), or kBuckets if none.
+  std::uint64_t next_occupied(const Shard& sh, std::uint64_t from);
   std::uint32_t alloc_node(const Entry& e);
   void release_slot(std::uint32_t slot);
   /// Earliest live entry (always sh.agenda.back() after this), or nullptr.
@@ -397,6 +412,8 @@ class Simulator {
   /// nullptr. Postcondition on success: the entry is shards_[*si].agenda
   /// .back() and the heap top is its (now spent) key.
   const Entry* peek_global(std::uint32_t* si);
+  /// Fire the earliest pending event if its time is <= limit_ns.
+  bool step_until(std::int64_t limit_ns);
 
   TimePoint now_{};
   std::uint64_t next_seq_ = 0;
@@ -417,6 +434,7 @@ class Simulator {
   std::vector<RootTask> roots_;
   std::exception_ptr pending_error_;
   std::uint64_t events_processed_ = 0;
+  std::uint64_t calendar_probes_ = 0;
   std::uint64_t ff_settles_ = 0;
   bool tearing_down_ = false;
   bool debug_trace_ = false;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -593,6 +595,113 @@ TEST(SetRunCursorTest, EmptyBitmapYieldsNothing) {
   DirtyBitmap bm{BitmapKind::kThreeLevel, 1000};
   SetRunCursor cur{bm};
   EXPECT_EQ(cur.next(64), std::nullopt);
+}
+
+// ------------------------------------------------------------ scan cost
+// A word load is the unit of wordops cost. This view implements the
+// word-cursor contract over a BlockBitmap and counts every leaf word a
+// traversal touches, so cost bounds are asserted as exact work, not time.
+
+class CountingWords {
+ public:
+  explicit CountingWords(const BlockBitmap& bm) : bm_{bm} {}
+  std::uint64_t size() const { return bm_.size(); }
+  std::uint64_t word_count() const { return bm_.word_count(); }
+  std::uint64_t skip_to_live(std::uint64_t wi) const {
+    return bm_.skip_to_live(wi);
+  }
+  std::uint64_t leaf_word(std::uint64_t wi) const {
+    ++loads_;
+    highest_ = std::max(highest_, wi);
+    return bm_.leaf_word(wi);
+  }
+  std::uint64_t loads() const { return loads_; }
+  std::uint64_t highest() const { return highest_; }
+
+ private:
+  const BlockBitmap& bm_;
+  mutable std::uint64_t loads_ = 0;
+  mutable std::uint64_t highest_ = 0;
+};
+
+/// Words loaded by the pre-copy first pass over an all-set n-block bitmap:
+/// a run-cursor sweep in 256-block chunks, as the TPM reader does it.
+std::uint64_t first_pass_word_loads(std::uint64_t n) {
+  const BlockBitmap bm{n, /*initially_set=*/true};
+  const CountingWords words{bm};
+  std::uint64_t pos = 0;
+  while (const auto run = wordops::next_set_run(words, pos, n, 256)) {
+    EXPECT_EQ(run->start, pos);
+    EXPECT_EQ(run->len, std::min<std::uint64_t>(256, n - pos));
+    pos = run->start + run->len;
+  }
+  EXPECT_EQ(pos, n);
+  return words.loads();
+}
+
+TEST(WordopsCostTest, FirstPassSweepLoadsLinearlyManyWords) {
+  constexpr std::uint64_t kN = 1 << 16;
+  const std::uint64_t loads = first_pass_word_loads(kN);
+  // Each chunk reads its own four words plus the one next_set starts on;
+  // an unbounded run scan reads to the end of the disk for every chunk.
+  EXPECT_LE(loads, kN / 64 + 2 * ((kN + 255) / 256));
+  EXPECT_EQ(first_pass_word_loads(2 * kN), 2 * loads);
+}
+
+TEST(WordopsCostTest, RunClippedByEndLoadsNothingPastEnd) {
+  const BlockBitmap bm{1 << 14, /*initially_set=*/true};
+  for (const std::uint64_t end : {1000ull, 1024ull, 4097ull}) {
+    const CountingWords words{bm};
+    const auto run = wordops::next_set_run(words, 100, end, ~std::uint64_t{0});
+    ASSERT_TRUE(run.has_value());
+    EXPECT_EQ(*run, (SetRun{100, end - 100}));
+    EXPECT_LE(words.highest(), (end - 1) / 64) << "end " << end;
+    // The cursor's last call, starting at end, loads nothing at all.
+    const CountingWords after{bm};
+    EXPECT_EQ(wordops::next_set_run(after, end, end, 256), std::nullopt);
+    EXPECT_EQ(after.loads(), 0u);
+  }
+}
+
+TEST(WordopsCostTest, RunLengthLoadsOnlyItsChunk) {
+  const BlockBitmap bm{1 << 14, /*initially_set=*/true};
+  const CountingWords words{bm};
+  EXPECT_EQ(wordops::run_length(words, 64, 256), 256u);
+  EXPECT_EQ(words.loads(), 4u);
+}
+
+// Property: the bounded scans agree with a bit-by-bit reference on random
+// bitmaps, windows and caps.
+TEST(WordopsCostTest, BoundedScansMatchBitByBitReference) {
+  sim::Rng rng{42};
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::uint64_t size = 1 + rng.uniform_u64(5000);
+    BlockBitmap bm{size};
+    for (int k = 0; k < 40; ++k) {
+      const std::uint64_t s = rng.uniform_u64(size);
+      bm.set_range(s, std::min(size - s, rng.uniform_u64(300)));
+    }
+    for (int p = 0; p < 200; ++p) {
+      const std::uint64_t from = rng.uniform_u64(size + 2);
+      const std::uint64_t end = rng.uniform_u64(size + 70);
+      const std::uint64_t cap = 1 + rng.uniform_u64(500);
+      std::optional<SetRun> want;
+      for (std::uint64_t b = from; b < std::min(end, size); ++b) {
+        if (!bm.test(b)) continue;
+        std::uint64_t len = 0;
+        while (b + len < std::min(end, size) && len < cap && bm.test(b + len)) {
+          ++len;
+        }
+        want = SetRun{b, len};
+        break;
+      }
+      ASSERT_EQ(wordops::next_set_run(bm, from, end, cap), want)
+          << "size " << size << " from " << from << " end " << end;
+      std::uint64_t clear = std::min(from, size);
+      while (clear < size && bm.test(clear)) ++clear;
+      ASSERT_EQ(bm.next_clear(from), clear) << "from " << from;
+    }
+  }
 }
 
 }  // namespace

@@ -2,12 +2,15 @@
 // contract must hold for ANY shard assignment. Seed-swept fuzz runs file
 // randomized schedule/cancel streams into random shards (including
 // cross-shard delay_on handoffs, the link-boundary pattern) and require the
-// fired sequence to be identical to a single-shard run of the same stream.
+// fired sequence to be identical to a single-shard run of the same stream,
+// which itself must match a reference (due time, seq) model of the stream.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "simcore/rng.hpp"
@@ -83,85 +86,115 @@ TEST(ShardHandoffTest, DelayOnResumesInTargetShard) {
 
 // ------------------------------------------------------------ ordering fuzz
 
-/// Replay one randomized schedule/cancel stream and return the fire order.
-/// Every timer records its id; ops are generated identically for every
-/// shard count (the RNG stream never depends on the topology), so the fired
-/// sequences are comparable element-for-element.
-std::vector<std::uint64_t> run_stream(std::uint64_t seed,
-                                      std::uint32_t shard_count) {
+/// What one randomized schedule/cancel stream did: the fire order by timer
+/// id, plus the reference model — each id's due time and whether a cancel
+/// reached it while still armed. Ids are handed out in scheduling order, so
+/// id order is seq order.
+struct Stream {
+  std::vector<std::uint64_t> fired;
+  std::vector<std::int64_t> due_ns;
+  std::vector<bool> cancelled;
+  bool fired_on_time = true;
+};
+
+/// Replay one randomized schedule/cancel stream. Ops are generated
+/// identically for every shard count (the RNG stream never depends on the
+/// topology), so the fired sequences are comparable element-for-element.
+Stream run_stream(std::uint64_t seed, std::uint32_t shard_count) {
   Simulator sim;
   if (shard_count > 1) sim.configure_shards(shard_count);
   Rng rng{seed};
-  std::vector<std::uint64_t> fired;
-  std::vector<Simulator::TimerId> cancellable;
+  Stream out;
+  std::vector<std::pair<Simulator::TimerId, std::uint64_t>> cancellable;
 
-  std::uint64_t next_id = 0;
   // Seed events across shards; each handler reschedules a few followers
-  // into random shards, mixing same-time ties, zero delays, far-future
-  // overflow entries, and lazy cancellations.
+  // into random shards, mixing same-time ties, zero delays, millisecond
+  // gaps (the paper disk's service time and its multiples), overflow
+  // entries a few ring revolutions out, multi-year idle gaps, and lazy
+  // cancellations.
   struct Ctx {
     Simulator& sim;
     Rng& rng;
-    std::vector<std::uint64_t>& fired;
-    std::vector<Simulator::TimerId>& cancellable;
-    std::uint64_t& next_id;
+    Stream& out;
+    std::vector<std::pair<Simulator::TimerId, std::uint64_t>>& cancellable;
     std::uint32_t shards;
     int budget = 400;
   };
-  Ctx ctx{sim, rng, fired, cancellable, next_id, shard_count};
+  Ctx ctx{sim, rng, out, cancellable, shard_count};
 
   // std::function recursion through the scheduler.
   struct Gen {
+    static Duration pick_delay(Rng& rng) {
+      const std::uint64_t pick = rng.uniform_u64(100);
+      if (pick < 15) return Duration::zero();
+      if (pick < 45) return Duration::micros(rng.uniform_u64(50));
+      if (pick < 65) return Duration::millis(rng.uniform_u64(20));
+      if (pick < 80) return Duration::millis(4 * (1 + rng.uniform_u64(4)));
+      if (pick < 93) return Duration::millis(100 + rng.uniform_u64(200));
+      return Duration::seconds(1 + rng.uniform_u64(4)) +
+             Duration::micros(rng.uniform_u64(1000));  // many years out
+    }
+
     static void plant(Ctx& c, int fanout) {
       for (int i = 0; i < fanout; ++i) {
         if (c.budget <= 0) return;
         --c.budget;
-        const std::uint64_t id = c.next_id++;
+        const std::uint64_t id = c.out.due_ns.size();
         const std::uint32_t target =
             static_cast<std::uint32_t>(c.rng.uniform_u64(c.shards));
-        // Delay mix: ties (0), sub-bucket, multi-bucket, and past-the-ring
-        // overflow horizons.
-        const std::uint64_t pick = c.rng.uniform_u64(100);
-        Duration d;
-        if (pick < 15) {
-          d = Duration::zero();
-        } else if (pick < 60) {
-          d = Duration::micros(c.rng.uniform_u64(50));
-        } else if (pick < 90) {
-          d = Duration::millis(c.rng.uniform_u64(20));
-        } else {
-          d = Duration::millis(100 + c.rng.uniform_u64(200));  // overflow list
-        }
+        const Duration d = pick_delay(c.rng);
+        c.out.due_ns.push_back((c.sim.now() + d).ns());
+        c.out.cancelled.push_back(false);
         Simulator::ShardScope scope{c.sim, target};
         // vmig-lint: c3-ok -- Ctx outlives sim.run(); see run_stream's frame
         const auto tid = c.sim.schedule_after(d, [&c, id] {
-          c.fired.push_back(id);
+          c.out.fired.push_back(id);
+          if (c.sim.now().ns() != c.out.due_ns[id]) c.out.fired_on_time = false;
           if (c.rng.bernoulli(0.6)) plant(c, 1 + static_cast<int>(c.rng.uniform_u64(3)));
           // Lazy cancellation: kill a random armed timer now and then.
           if (!c.cancellable.empty() && c.rng.bernoulli(0.3)) {
             const std::size_t k = c.rng.uniform_u64(c.cancellable.size());
-            c.sim.cancel(c.cancellable[k]);
+            if (c.sim.cancel(c.cancellable[k].first)) {
+              c.out.cancelled[c.cancellable[k].second] = true;
+            }
             c.cancellable.erase(c.cancellable.begin() +
                                 static_cast<std::ptrdiff_t>(k));
           }
         });
-        if (c.rng.bernoulli(0.2)) c.cancellable.push_back(tid);
+        if (c.rng.bernoulli(0.2)) c.cancellable.emplace_back(tid, id);
       }
     }
   };
   Gen::plant(ctx, 24);
   sim.run();
-  return fired;
+  return out;
+}
+
+/// The reference order: every timer not cancelled fires exactly once, at
+/// its due time, in ascending (due time, seq) order.
+void expect_reference_order(const Stream& s) {
+  EXPECT_TRUE(s.fired_on_time);
+  std::vector<std::uint64_t> want;
+  for (std::uint64_t id = 0; id < s.due_ns.size(); ++id) {
+    if (!s.cancelled[id]) want.push_back(id);
+  }
+  std::stable_sort(want.begin(), want.end(),
+                   [&](std::uint64_t a, std::uint64_t b) {
+                     return s.due_ns[a] < s.due_ns[b];
+                   });
+  EXPECT_EQ(s.fired, want);
 }
 
 class ShardOrderFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ShardOrderFuzz, FireOrderIdenticalAcrossShardCounts) {
   const std::uint64_t seed = GetParam();
-  const auto baseline = run_stream(seed, 1);
-  ASSERT_FALSE(baseline.empty());
+  const Stream baseline = run_stream(seed, 1);
+  ASSERT_FALSE(baseline.fired.empty());
+  expect_reference_order(baseline);
   for (const std::uint32_t shards : {2u, 5u, 16u, 64u}) {
-    EXPECT_EQ(run_stream(seed, shards), baseline) << "shards=" << shards;
+    EXPECT_EQ(run_stream(seed, shards).fired, baseline.fired)
+        << "shards=" << shards;
   }
 }
 

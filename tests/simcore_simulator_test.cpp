@@ -346,6 +346,33 @@ TEST(SimulatorCalendarTest, ManyRevolutionsStress) {
   EXPECT_EQ(sim.now(), TimePoint::origin() + Duration::millis(3300));
 }
 
+/// Calendar probes spent firing a chain of `timers` timers, each arming the
+/// next one `spacing` later (one pending event at a time, like a disk
+/// serving requests back to back).
+std::uint64_t chain_probes(Duration spacing, int timers) {
+  Simulator sim;
+  int left = timers;
+  std::function<void()> hop = [&] {
+    if (--left > 0) sim.schedule_after(spacing, hop);
+  };
+  sim.schedule_after(spacing, hop);
+  sim.run();
+  EXPECT_EQ(sim.events_processed(), static_cast<std::uint64_t>(timers));
+  return sim.calendar_probes();
+}
+
+TEST(SimulatorCalendarTest, ProbesFollowEventsNotIdleTime) {
+  // 8 us is about one 8.192 us day; 4 ms is the paper disk's service time,
+  // ~488 days. Walking the ring one day at a time costs ~488 probes per
+  // event at 4 ms; the occupancy bitmap skips 64 empty days per word.
+  constexpr int kTimers = 10000;
+  const std::uint64_t dense = chain_probes(8_us, kTimers);
+  const std::uint64_t sparse = chain_probes(4_ms, kTimers);
+  EXPECT_LE(dense, 4u * kTimers);
+  EXPECT_LE(sparse, 12u * kTimers);
+  EXPECT_LE(sparse, 8 * dense);
+}
+
 TEST(SimulatorCalendarTest, PendingCountWithOverflow) {
   Simulator sim;
   sim.schedule_after(1_ms, [] {});

@@ -36,9 +36,8 @@ void sparse_sweep() {
       const auto blocks = tb.source().disk().geometry().block_count;
       const auto used = static_cast<storage::BlockId>(
           static_cast<double>(blocks) * fullness);
-      for (storage::BlockId b = 0; b < used; ++b) {
-        tb.source().disk().poke_token(b, 0xf000 + b);
-      }
+      tb.source().disk().poke_affine({0, static_cast<std::uint32_t>(used)},
+                                     0xf000);
       auto cfg = tb.paper_migration_config();
       cfg.skip_unused_blocks = skip;
       const auto rep = tb.run_tpm(nullptr, 5_s, 5_s, cfg);
@@ -71,9 +70,8 @@ void multihost_demo() {
     hv::Host::interconnect(laptop, office, lan);
     vm::Domain guest{sim, 1, "devbox", 256};
     office.attach_domain(guest);
-    for (storage::BlockId b = 0; b < geo.block_count; ++b) {
-      office.disk().poke_token(b, 0xbeef0000 + b);
-    }
+    office.disk().poke_affine(
+        {0, static_cast<std::uint32_t>(geo.block_count)}, 0xbeef0000);
     workload::KernelBuildWorkload work{sim, guest, 11};
     core::MigrationManager mgr{sim};
     mgr.set_multi_host_im(directory);

@@ -5,8 +5,8 @@
 // minute. Simulated results stay deterministic — only the wall-clock
 // readings vary run to run, which is why the committed baseline gates them
 // with direction-aware, regression-only tolerances, while the deterministic
-// counters (events, calendar probes, scheduler jobs_visited) are gated exactly
-// (scripts/check_bench_baselines.py).
+// counters (events, calendar probes, scheduler jobs_visited, token pages
+// materialized) are gated exactly (scripts/check_bench_baselines.py).
 //
 // Every point registers ~10 cold VMs per host on top of the evacuated
 // guests, so the 10k-host point carries ~100k registered VMs — lazy
@@ -83,6 +83,7 @@ struct Row {
   double sim_s = 0;           // simulated makespan
   std::uint64_t events = 0;   // simulator events processed (deterministic)
   std::uint64_t calendar_probes = 0;  // calendar extraction work (deterministic)
+  std::uint64_t pages_materialized = 0;  // token pages made explicit (deterministic)
   std::uint64_t jobs_visited = 0;  // scheduler job visits (deterministic)
   double events_per_sec = 0;  // events / wall-s (throughput, wall)
   double wall_ms_per_sim_min = 0;
@@ -192,6 +193,11 @@ Row run_once(int hosts, const FleetOpts* obs,
   r.sim_s = sim.now().to_seconds();
   r.events = sim.events_processed();
   r.calendar_probes = sim.calendar_probes();
+  for (std::size_t i = 0; i < tb.host_count(); ++i) {
+    if (tb.host_materialized(i)) {
+      r.pages_materialized += tb.host(i).pages_materialized();
+    }
+  }
   r.jobs_visited = orch.jobs_visited();
   r.completed = orch.jobs_completed();
   r.failed = orch.jobs_failed();
@@ -431,6 +437,8 @@ int main(int argc, char** argv) {
       kv.emplace_back(p + "events", static_cast<double>(r.events));
       kv.emplace_back(p + "calendar_probes",
                       static_cast<double>(r.calendar_probes));
+      kv.emplace_back(p + "pages_materialized",
+                      static_cast<double>(r.pages_materialized));
       kv.emplace_back(p + "jobs_visited", static_cast<double>(r.jobs_visited));
       kv.emplace_back(p + "events_per_sec", r.events_per_sec);
       kv.emplace_back(p + "wall_ms_per_sim_min", r.wall_ms_per_sim_min);

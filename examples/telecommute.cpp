@@ -58,9 +58,8 @@ int main() {
   vm::Domain guest{sim, 1, "workstation", 256};
   office.attach_domain(guest);
   // Give the image some content (OS + tools).
-  for (storage::BlockId b = 0; b < geometry.block_count; ++b) {
-    office.disk().poke_token(b, 0x1000000 + b);
-  }
+  office.disk().poke_affine(
+      {0, static_cast<std::uint32_t>(geometry.block_count)}, 0x1000000);
 
   // The user hacks on a kernel all week.
   workload::KernelBuildWorkload work{sim, guest, 11};

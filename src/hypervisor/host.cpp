@@ -35,6 +35,12 @@ const storage::VirtualDisk* Host::find_vbd(vm::DomainId domain) const {
   return it != by_domain_.end() ? it->second.vbd : nullptr;
 }
 
+std::uint64_t Host::pages_materialized() const {
+  std::uint64_t n = disk_.pages_materialized();
+  for (const auto& vbd : extra_vbds_) n += vbd->pages_materialized();
+  return n;
+}
+
 void Host::index_backend(vm::BlkBackend& be) {
   DomainSlot& slot = by_domain_[be.served_domain()];
   if (slot.backend == nullptr) slot.backend = &be;

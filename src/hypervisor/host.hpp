@@ -46,6 +46,8 @@ class Host {
   /// The VBD backing `domain` if this host has one; null otherwise. Never
   /// creates — the lookup for observers that must not change placement.
   const storage::VirtualDisk* find_vbd(vm::DomainId domain) const;
+  /// Token pages materialized across all of this host's VBDs.
+  std::uint64_t pages_materialized() const;
 
   /// The host's primary block backend (first VBD). Hosts serving several
   /// DomUs have one backend per domain — see backend_for().

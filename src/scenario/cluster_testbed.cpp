@@ -146,7 +146,7 @@ void ClusterTestbed::prefill_domain(hv::Host& h, vm::Domain& d) {
   // so lazy and eager materialization stamp identical content.
   const std::uint64_t base =
       0x5000000000000000ull + (static_cast<std::uint64_t>(d.id()) << 32);
-  for (std::uint64_t b = 0; b < n; ++b) disk.poke_token(b, base + b);
+  disk.poke_affine({0, static_cast<std::uint32_t>(n)}, base);
 }
 
 void ClusterTestbed::prefill_disks() {

@@ -58,9 +58,7 @@ core::MigrationConfig Testbed::paper_migration_config() const {
 void Testbed::prefill_disk() {
   auto& disk = source_->disk();
   const std::uint64_t n = disk.geometry().block_count;
-  for (std::uint64_t b = 0; b < n; ++b) {
-    disk.poke_token(b, 0x5000000000000000ull + b);
-  }
+  disk.poke_affine({0, static_cast<std::uint32_t>(n)}, 0x5000000000000000ull);
 }
 
 void Testbed::attach_obs(obs::Registry* registry) {

@@ -27,6 +27,10 @@ using ContentToken = std::uint64_t;
 /// Initial token of a never-written block (all-zero content).
 inline constexpr ContentToken kZeroBlockToken = 0;
 
+/// Blocks per token page (one pre-copy chunk). Each page holds a rule —
+/// all zero, or affine `token(b) = base + b` — until a write breaks it.
+inline constexpr std::uint32_t kTokenPageBlocks = 256;
+
 /// A virtual block device: token state + timed access through a
 /// FIFO-contended `DiskScheduler`. This is the raw device; interception and
 /// dirty tracking live in the split driver (`vm::BlkBackend`), exactly as in
@@ -69,12 +73,23 @@ class VirtualDisk {
 
   // ---- Untimed state access (bookkeeping, assertions, transfers) ----
 
-  ContentToken token(BlockId b) const { return tokens_[b]; }
-  std::span<const ContentToken> tokens() const noexcept { return tokens_; }
+  ContentToken token(BlockId b) const {
+    const Page& p = pages_[b / kTokenPageBlocks];
+    switch (p.tag) {
+      case PageTag::kZero: return kZeroBlockToken;
+      case PageTag::kAffine: return p.base + b;
+      case PageTag::kExplicit: break;
+    }
+    return explicit_[b];
+  }
   /// Copy `range.count` tokens out (what a migration sender transmits).
   std::vector<ContentToken> snapshot_tokens(BlockRange range) const;
-  /// Directly set a token without timing (test fixture setup).
-  void poke_token(BlockId b, ContentToken t) { tokens_[b] = t; }
+  /// Directly set a token without timing (test fixture setup). Makes the
+  /// block's page explicit.
+  void poke_token(BlockId b, ContentToken t);
+  /// Set `token(b) = base + b` for every block of `range` without timing
+  /// (image prefill). Whole non-explicit pages just take the rule.
+  void poke_affine(BlockRange range, ContentToken base);
 
   /// Payload of block b (empty span if none stored).
   std::span<const std::byte> payload(BlockId b) const;
@@ -87,6 +102,10 @@ class VirtualDisk {
   /// No-op when `bytes` is empty or payloads are not stored.
   void apply_payloads(BlockRange range, std::span<const std::byte> bytes);
 
+  /// Bit j set iff block `64 * w + j` holds a different token than on
+  /// `other`. `w` must address a block of both disks. Returns 0 without
+  /// reading tokens when both disks hold the same rule on that page.
+  std::uint64_t diff_word(const VirtualDisk& other, std::uint64_t w) const;
   /// True iff every block token matches.
   bool content_equals(const VirtualDisk& other) const;
   /// Blocks whose tokens differ from `other` (diagnostics).
@@ -94,19 +113,48 @@ class VirtualDisk {
 
   /// Number of timed guest/other/migration writes that have modified state.
   std::uint64_t write_count() const noexcept { return write_count_; }
+  /// Pages that left their rule for the explicit token array (exact work
+  /// counter: host memory follows it, not the disk size).
+  std::uint64_t pages_materialized() const noexcept {
+    return pages_materialized_;
+  }
 
   /// Hash bytes to a content token (stable; used in payload mode).
   static ContentToken hash_bytes(std::span<const std::byte> bytes);
 
  private:
-  ContentToken fresh_token();
+  enum class PageTag : std::uint8_t { kZero, kAffine, kExplicit };
+  struct Page {
+    ContentToken base = 0;  ///< affine pages: token(b) = base + b
+    PageTag tag = PageTag::kZero;
+  };
+
+  /// The part of [b, end) that lies in b's page.
+  struct Segment {
+    std::size_t page;
+    BlockId end;  ///< exclusive
+    bool whole;   ///< covers the entire page
+  };
+
+  Segment segment_at(BlockId b, BlockId end) const;
+  /// Copy page `p`'s rule into the explicit array and tag it explicit.
+  void materialize(std::size_t p);
+  /// Install `tokens` on `range`: a whole non-explicit page that receives
+  /// an exactly affine run takes the rule; any other page materializes.
+  void install_tokens(BlockRange range, const ContentToken* tokens);
+  /// Copy the tokens of [first, first + len) to `out`.
+  void read_tokens(BlockId first, std::uint64_t len, ContentToken* out) const;
 
   sim::Simulator& sim_;
   Geometry geometry_;
   std::unique_ptr<DiskScheduler> owned_scheduler_;  ///< standalone mode only
   DiskScheduler* scheduler_;
   bool store_payloads_;
-  std::vector<ContentToken> tokens_;
+  std::vector<Page> pages_;
+  /// Tokens of explicit pages, indexed by block. Allocated uninitialized:
+  /// only entries of explicit pages are ever written or read.
+  std::unique_ptr<ContentToken[]> explicit_;
+  std::uint64_t pages_materialized_ = 0;
   std::unordered_map<BlockId, std::vector<std::byte>> payloads_;
   std::uint64_t write_count_ = 0;
 };

@@ -49,6 +49,33 @@ TEST(TestbedTest, IdleMigrationMatchesPaperShape) {
   EXPECT_TRUE(tb.dest().hosts_domain(tb.vm()));
 }
 
+// Host memory follows the pages written, not the disk size: the paper's
+// 39070 MiB image is one affine rule per page until a write breaks it.
+TEST(TestbedTest, PaperScalePrefillMaterializesNoPages) {
+  Simulator sim;
+  Testbed tb{sim};
+  tb.prefill_disk();
+  const auto& d = tb.source().disk();
+  EXPECT_EQ(d.pages_materialized(), 0u);
+  EXPECT_EQ(tb.dest().disk().pages_materialized(), 0u);
+  EXPECT_EQ(d.token(d.geometry().block_count - 1),
+            0x5000000000000000ull + d.geometry().block_count - 1);
+}
+
+// The first pass ships page-aligned 256-block chunks of affine content, so
+// the destination installs rules too; an idle guest breaks none of them.
+TEST(TestbedTest, IdleTpmMaterializesNoPages) {
+  Simulator sim;
+  Testbed tb{sim};
+  tb.prefill_disk();
+  const auto rep = tb.run_tpm(nullptr, 10_s, 10_s, tb.paper_migration_config());
+  EXPECT_TRUE(rep.disk_consistent);
+  EXPECT_EQ(rep.blocks_first_pass, tb.source().disk().geometry().block_count);
+  EXPECT_EQ(tb.source().disk().pages_materialized(), 0u);
+  EXPECT_EQ(tb.dest().disk().pages_materialized(), 0u);
+  EXPECT_TRUE(tb.dest().disk().content_equals(tb.source().disk()));
+}
+
 TEST(TestbedTest, SmallDiskRunsFast) {
   Simulator sim;
   TestbedConfig cfg;

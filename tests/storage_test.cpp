@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <span>
 #include <vector>
 
+#include "obs/profiler.hpp"
+#include "simcore/rng.hpp"
 #include "storage/block.hpp"
 #include "storage/disk_model.hpp"
 #include "storage/disk_scheduler.hpp"
@@ -297,6 +302,279 @@ TEST(VirtualDiskTest, TimedIoContendsThroughScheduler) {
   sim.run();
   EXPECT_NEAR(sim.now().to_seconds(), 1.0, 1e-6);
   EXPECT_EQ(d.scheduler().bytes_transferred(IoSource::kGuest), 4 * kMiB);
+}
+
+TEST(VirtualDiskTest, PokeAffineSetsRuleWithoutMaterializing) {
+  Simulator sim;
+  VirtualDisk d{sim, Geometry::from_blocks(3 * kTokenPageBlocks + 10)};
+  d.poke_affine({0, 3 * kTokenPageBlocks + 10}, 0x5000);
+  EXPECT_EQ(d.pages_materialized(), 0u);  // every page, the partial one too
+  for (BlockId b = 0; b < d.geometry().block_count; ++b) {
+    ASSERT_EQ(d.token(b), 0x5000 + b);
+  }
+  // A run that covers part of a page materializes just that page.
+  d.poke_affine({kTokenPageBlocks + 5, 10}, 0x9000);
+  EXPECT_EQ(d.pages_materialized(), 1u);
+  EXPECT_EQ(d.token(kTokenPageBlocks + 4), 0x5000 + kTokenPageBlocks + 4);
+  EXPECT_EQ(d.token(kTokenPageBlocks + 5), 0x9000 + kTokenPageBlocks + 5);
+}
+
+TEST(VirtualDiskTest, DiffWordMasksDifferingBlocks) {
+  Simulator sim;
+  VirtualDisk a{sim, Geometry::from_blocks(kTokenPageBlocks + 70)};
+  VirtualDisk b{sim, Geometry::from_blocks(kTokenPageBlocks + 70)};
+  a.poke_affine({0, kTokenPageBlocks + 70}, 7);
+  b.poke_affine({0, kTokenPageBlocks + 70}, 7);
+  for (std::uint64_t w = 0; w < 6; ++w) EXPECT_EQ(a.diff_word(b, w), 0u);
+  b.poke_token(65, 1);
+  b.poke_token(127, 1);
+  EXPECT_EQ(a.diff_word(b, 1),
+            (std::uint64_t{1} << 1) | (std::uint64_t{1} << 63));
+  EXPECT_EQ(a.diff_word(b, 0), 0u);
+  // The last word is short: only its 6 real blocks can differ.
+  a.poke_affine({kTokenPageBlocks, 70}, 8);
+  EXPECT_EQ(a.diff_word(b, 5), (std::uint64_t{1} << 6) - 1);
+}
+
+std::uint64_t total_allocs(const obs::Profiler& prof) {
+  std::uint64_t n = 0;
+  for (int c = 0; c < static_cast<int>(obs::ProfCategory::kCount); ++c) {
+    n += prof.stats(static_cast<obs::ProfCategory>(c)).allocs;
+  }
+  return n;
+}
+
+// Materializing a page writes into the disk's preallocated token array: a
+// write into a never-touched page allocates nothing, in any category.
+TEST(VirtualDiskTest, WriteIntoUntouchedPageAllocatesNothing) {
+  obs::Profiler prof;
+  prof.activate();
+  Simulator sim;
+  VirtualDisk d{sim, Geometry::from_blocks(64 * kTokenPageBlocks)};
+  std::uint64_t before = 0;
+  std::uint64_t after = 0;
+  // One root task, so spawn's own bookkeeping stays outside the window; the
+  // first write sizes the frame arena and calendar.
+  sim.spawn([](VirtualDisk& d, const obs::Profiler& prof, std::uint64_t& before,
+               std::uint64_t& after) -> Task<void> {
+    co_await d.write(BlockRange{3, 5});
+    before = total_allocs(prof);
+    co_await d.write(BlockRange{40 * kTokenPageBlocks + 3, 5});
+    after = total_allocs(prof);
+  }(d, prof, before, after));
+  sim.run();
+  obs::Profiler::deactivate();
+  EXPECT_EQ(d.pages_materialized(), 2u);
+  EXPECT_EQ(after, before);
+}
+
+// ---- Paged token store vs a dense reference ----------------------------
+
+/// A paged disk and the dense token vector it must agree with.
+struct Modeled {
+  std::unique_ptr<VirtualDisk> disk;
+  std::vector<ContentToken> ref;
+};
+
+class PagedStoreDifferential {
+ public:
+  static constexpr std::uint64_t kBlocks = 5 * kTokenPageBlocks + 77;
+  static constexpr std::uint32_t kBlockSize = 512;
+
+  explicit PagedStoreDifferential(std::uint64_t seed) : rng_{seed} {
+    const Geometry g = Geometry::from_blocks(kBlocks, kBlockSize);
+    a_.disk = std::make_unique<VirtualDisk>(sim_, g, DiskModelParams{},
+                                            /*store_payloads=*/true);
+    b_.disk = std::make_unique<VirtualDisk>(sim_, g);
+    a_.ref.assign(kBlocks, kZeroBlockToken);
+    b_.ref.assign(kBlocks, kZeroBlockToken);
+  }
+
+  void step() {
+    const std::uint64_t target = rng_.uniform_u64(3);  // a, b, or both
+    const BlockRange r = random_range();
+    switch (rng_.uniform_u64(8)) {
+      case 0: {
+        const BlockId blk = rng_.uniform_u64(kBlocks);
+        const ContentToken t = rng_.uniform_u64(4) == 0 ? blk : rng_.next_u64();
+        for_targets(target, [&](Modeled& m) {
+          m.disk->poke_token(blk, t);
+          m.ref[blk] = t;
+        });
+        break;
+      }
+      case 1: {
+        const ContentToken base = random_base();
+        for_targets(target, [&](Modeled& m) {
+          m.disk->poke_affine(r, base);
+          for (BlockId b = r.start; b < r.end(); ++b) m.ref[b] = base + b;
+        });
+        break;
+      }
+      case 2:  // fresh tokens: consecutive in block order, never reused
+        for_targets(target, [&](Modeled& m) {
+          run(m.disk->write(r));
+          if (r.count == 0) return;
+          if (next_fresh_ != 0) {
+            EXPECT_EQ(m.disk->token(r.start), next_fresh_);
+          }
+          const ContentToken first = m.disk->token(r.start);
+          for (BlockId b = r.start; b < r.end(); ++b) {
+            m.ref[b] = first + (b - r.start);
+          }
+          next_fresh_ = first + r.count;
+        });
+        break;
+      case 3:
+      case 4: {
+        // Migration-style receive: aligned or unaligned affine runs,
+        // non-affine runs, and runs that cross page boundaries.
+        const BlockRange rr = rng_.uniform_u64(2) == 0 ? aligned_range() : r;
+        std::vector<ContentToken> toks(rr.count);
+        const ContentToken base = random_base();
+        for (std::uint32_t i = 0; i < rr.count; ++i) {
+          toks[i] = base + rr.start + i;
+        }
+        if (rng_.uniform_u64(2) == 0 && rr.count > 0) {
+          toks[rng_.uniform_u64(rr.count)] = rng_.next_u64();
+        }
+        for_targets(target, [&](Modeled& m) { receive(m, rr, toks); });
+        break;
+      }
+      case 5: {
+        // Copy a range across, as a migration sender/receiver pair does.
+        const bool to_a = rng_.uniform_u64(2) == 0;
+        const Modeled& from = to_a ? b_ : a_;
+        receive(to_a ? a_ : b_, r,
+                std::span{from.ref}.subspan(r.start, r.count));
+        break;
+      }
+      case 6: {
+        std::vector<std::byte> bytes(r.bytes(kBlockSize));
+        for (std::byte& x : bytes) {
+          x = static_cast<std::byte>(rng_.uniform_u64(3));  // collisions too
+        }
+        for_targets(target, [&](Modeled& m) {
+          run(m.disk->write_bytes(r, bytes));
+          for (std::uint32_t i = 0; i < r.count; ++i) {
+            m.ref[r.start + i] = VirtualDisk::hash_bytes(std::span{bytes}.subspan(
+                std::size_t{i} * kBlockSize, kBlockSize));
+          }
+        });
+        break;
+      }
+      default:
+        if (rng_.uniform_u64(8) == 0) {  // occasionally make b a full copy of a
+          receive(b_, BlockRange{0, static_cast<std::uint32_t>(kBlocks)},
+                  a_.ref);
+        }
+        break;
+    }
+  }
+
+  void check() {
+    for (const Modeled* m : {&a_, &b_}) {
+      for (BlockId b = 0; b < kBlocks; ++b) {
+        ASSERT_EQ(m->disk->token(b), m->ref[b]) << "block " << b;
+      }
+      const BlockRange r = random_range();
+      EXPECT_EQ(m->disk->snapshot_tokens(r),
+                std::vector<ContentToken>(m->ref.begin() + r.start,
+                                          m->ref.begin() + r.end()));
+      EXPECT_LE(m->disk->pages_materialized(),
+                (kBlocks + kTokenPageBlocks - 1) / kTokenPageBlocks);
+    }
+    std::vector<BlockId> differing;
+    for (std::uint64_t w = 0; w * 64 < kBlocks; ++w) {
+      std::uint64_t mask = 0;
+      for (BlockId b = w * 64; b < std::min(kBlocks, w * 64 + 64); ++b) {
+        if (a_.ref[b] != b_.ref[b]) {
+          mask |= std::uint64_t{1} << (b - w * 64);
+          differing.push_back(b);
+        }
+      }
+      ASSERT_EQ(a_.disk->diff_word(*b_.disk, w), mask) << "word " << w;
+      ASSERT_EQ(b_.disk->diff_word(*a_.disk, w), mask) << "word " << w;
+    }
+    EXPECT_EQ(a_.disk->diff_blocks(*b_.disk), differing);
+    EXPECT_EQ(a_.disk->content_equals(*b_.disk), differing.empty());
+    if (differing.empty()) ++equal_checks;
+  }
+
+  int equal_checks = 0;  ///< checks that found the two disks identical
+
+ private:
+  void run(Task<void> t) {
+    sim_.spawn(std::move(t));
+    sim_.run();
+  }
+
+  void receive(Modeled& m, BlockRange r, std::span<const ContentToken> toks) {
+    run(m.disk->write_tokens(r, toks));
+    std::copy(toks.begin(), toks.end(), m.ref.begin() + r.start);
+  }
+
+  template <typename F>
+  void for_targets(std::uint64_t target, F&& f) {
+    if (target != 1) f(a_);
+    if (target != 0) f(b_);
+  }
+
+  /// Up to ~1.5 pages anywhere, so runs often straddle a page boundary.
+  BlockRange random_range() {
+    const BlockId start = rng_.uniform_u64(kBlocks);
+    const std::uint64_t room = kBlocks - start;
+    const std::uint64_t len = std::min<std::uint64_t>(
+        room, rng_.uniform_u64(kTokenPageBlocks * 3 / 2));
+    return {start, static_cast<std::uint32_t>(len)};
+  }
+
+  /// One or more whole pages, possibly ending at the partial last page.
+  BlockRange aligned_range() {
+    const std::uint64_t pages =
+        (kBlocks + kTokenPageBlocks - 1) / kTokenPageBlocks;
+    const std::uint64_t first = rng_.uniform_u64(pages);
+    const std::uint64_t n =
+        1 + rng_.uniform_u64(std::min<std::uint64_t>(3, pages - first));
+    const BlockId start = first * kTokenPageBlocks;
+    const BlockId end =
+        std::min<BlockId>(kBlocks, (first + n) * kTokenPageBlocks);
+    return {start, static_cast<std::uint32_t>(end - start)};
+  }
+
+  /// A small pool of bases, so both disks often carry the same rule.
+  ContentToken random_base() { return 0x1000 * (1 + rng_.uniform_u64(4)); }
+
+  sim::Rng rng_;
+  Simulator sim_;
+  Modeled a_;
+  Modeled b_;
+  ContentToken next_fresh_ = 0;
+};
+
+TEST(VirtualDiskTest, PagedStoreMatchesDenseReference) {
+  int equal_checks = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    // Leave poisoned blocks of the backing arrays' size on the heap, so a
+    // disk that reads a never-materialized entry sees junk, not zeros.
+    {
+      std::vector<std::unique_ptr<ContentToken[]>> junk;
+      for (int i = 0; i < 3; ++i) {
+        junk.push_back(std::make_unique_for_overwrite<ContentToken[]>(
+            PagedStoreDifferential::kBlocks));
+        std::fill_n(junk.back().get(), PagedStoreDifferential::kBlocks,
+                    0xdeadbeefdeadbeefULL);
+      }
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    PagedStoreDifferential t{seed};
+    for (int op = 0; op < 300; ++op) {
+      t.step();
+      ASSERT_NO_FATAL_FAILURE(t.check());
+    }
+    equal_checks += t.equal_checks;
+  }
+  EXPECT_GT(equal_checks, 0);  // content_equals was exercised both ways
 }
 
 }  // namespace

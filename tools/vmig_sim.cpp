@@ -600,9 +600,8 @@ int main(int argc, char** argv) {
   const auto blocks = tb.source().disk().geometry().block_count;
   const auto used =
       static_cast<storage::BlockId>(static_cast<double>(blocks) * o.fullness);
-  for (storage::BlockId b = 0; b < used; ++b) {
-    tb.source().disk().poke_token(b, 0xC11C000000000000ull + b);
-  }
+  tb.source().disk().poke_affine({0, static_cast<std::uint32_t>(used)},
+                                 0xC11C000000000000ull);
 
   auto cfg = tb.paper_migration_config();
   cfg.rate_limit_mibps = o.rate_limit;

@@ -6,7 +6,8 @@
 // readings vary run to run, which is why the committed baseline gates them
 // with direction-aware, regression-only tolerances, while the deterministic
 // counters (events, calendar probes, scheduler jobs_visited, token pages
-// materialized) are gated exactly (scripts/check_bench_baselines.py).
+// materialized, coroutine frames) are gated exactly
+// (scripts/check_bench_baselines.py).
 //
 // Every point registers ~10 cold VMs per host on top of the evacuated
 // guests, so the 10k-host point carries ~100k registered VMs — lazy
@@ -85,6 +86,7 @@ struct Row {
   std::uint64_t calendar_probes = 0;  // calendar extraction work (deterministic)
   std::uint64_t pages_materialized = 0;  // token pages made explicit (deterministic)
   std::uint64_t jobs_visited = 0;  // scheduler job visits (deterministic)
+  std::uint64_t frames = 0;  // coroutine frames created (deterministic)
   double events_per_sec = 0;  // events / wall-s (throughput, wall)
   double wall_ms_per_sim_min = 0;
   std::uint64_t completed = 0;
@@ -199,6 +201,7 @@ Row run_once(int hosts, const FleetOpts* obs,
     }
   }
   r.jobs_visited = orch.jobs_visited();
+  r.frames = sim.frames_created();
   r.completed = orch.jobs_completed();
   r.failed = orch.jobs_failed();
   const double wall_s = r.wall_ms / 1e3;
@@ -440,6 +443,7 @@ int main(int argc, char** argv) {
       kv.emplace_back(p + "pages_materialized",
                       static_cast<double>(r.pages_materialized));
       kv.emplace_back(p + "jobs_visited", static_cast<double>(r.jobs_visited));
+      kv.emplace_back(p + "frames", static_cast<double>(r.frames));
       kv.emplace_back(p + "events_per_sec", r.events_per_sec);
       kv.emplace_back(p + "wall_ms_per_sim_min", r.wall_ms_per_sim_min);
       kv.emplace_back(p + "setup_ms", r.setup_ms);  // reported, never gated

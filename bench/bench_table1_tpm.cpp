@@ -12,7 +12,7 @@
 //                baseline gate (bench/baselines/BENCH_table1.json): each
 //                row's simulated results, the deterministic work behind
 //                them (events, calendar probes, blocks scanned, token pages
-//                materialized), and the per-layer profile
+//                materialized, coroutine frames), and the per-layer profile
 //                (prof.<category>.excl_ms, ns per block scanned). Each
 //                10M-block first pass must cost time in proportion to the
 //                blocks moved, not to the disk squared, and host memory
@@ -58,6 +58,7 @@ struct WlOutcome {
   std::uint64_t events = 0;
   std::uint64_t calendar_probes = 0;
   std::uint64_t pages_materialized = 0;  ///< both hosts' token pages
+  std::uint64_t frames = 0;              ///< coroutine frames created
 };
 
 WlOutcome run_workload(int which) {
@@ -86,6 +87,7 @@ WlOutcome run_workload(int which) {
   out.calendar_probes = sim.calendar_probes();
   out.pages_materialized =
       tb.source().pages_materialized() + tb.dest().pages_materialized();
+  out.frames = sim.frames_created();
   return out;
 }
 
@@ -116,6 +118,7 @@ int main(int argc, char** argv) {
   std::uint64_t events = 0;
   std::uint64_t calendar_probes = 0;
   std::uint64_t pages_materialized = 0;
+  std::uint64_t frames = 0;
   obs::WallStopwatch wall;
   for (int i = 0; i < 3; ++i) {
     const auto outcome = run_workload(i);
@@ -124,6 +127,7 @@ int main(int argc, char** argv) {
     events += outcome.events;
     calendar_probes += outcome.calendar_probes;
     pages_materialized += outcome.pages_materialized;
+    frames += outcome.frames;
   }
   const double wall_ms = wall.elapsed_ms();
   obs::Profiler::deactivate();
@@ -178,11 +182,13 @@ int main(int argc, char** argv) {
     const auto& scan = profiler.stats(obs::ProfCategory::kBitmapScan);
     bench::section("work and self-profile (wall clock)");
     std::printf("  wall %.1f ms, %llu events, %llu calendar probes, "
-                "%llu blocks scanned, %llu token pages materialized\n%s",
+                "%llu blocks scanned, %llu token pages materialized, "
+                "%llu coroutine frames\n%s",
                 wall_ms, static_cast<unsigned long long>(events),
                 static_cast<unsigned long long>(calendar_probes),
                 static_cast<unsigned long long>(scan.events),
                 static_cast<unsigned long long>(pages_materialized),
+                static_cast<unsigned long long>(frames),
                 profiler.table().c_str());
     std::vector<std::pair<std::string, double>> kv;
     for (const auto& r : rows) {
@@ -199,6 +205,7 @@ int main(int argc, char** argv) {
     kv.emplace_back("table1.blocks_scanned", static_cast<double>(scan.events));
     kv.emplace_back("table1.pages_materialized",
                     static_cast<double>(pages_materialized));
+    kv.emplace_back("table1.frames", static_cast<double>(frames));
     kv.emplace_back("table1.wall_ms", wall_ms);
     kv.emplace_back("table1.scan_ns_per_block",
                     scan.events > 0 ? static_cast<double>(scan.exclusive_ns) /

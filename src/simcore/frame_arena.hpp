@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <new>  // vmig-lint: d5-ok -- header for ::operator new, not an allocation
 #include <vector>
 
@@ -29,6 +30,7 @@ namespace vmig::sim::detail {
 class FrameArena {
  public:
   static void* allocate(std::size_t n) {
+    ++allocations_;
     const std::size_t cls = (n + kHeader + kGranule - 1) / kGranule;
     void* raw;
     if (cls >= kClasses) {
@@ -54,6 +56,10 @@ class FrameArena {
     return static_cast<char*>(raw) + kHeader;
   }
 
+  /// Frames allocated on this thread so far: one per coroutine started,
+  /// pooled or not. Exact and deterministic for a deterministic run.
+  static std::uint64_t allocations() noexcept { return allocations_; }
+
   static void deallocate(void* p) noexcept {
     if (p == nullptr) return;
     void* raw = static_cast<char*>(p) - kHeader;
@@ -77,6 +83,8 @@ class FrameArena {
   static constexpr std::size_t kHeader = 16;   // keeps 16-byte frame alignment
   static constexpr std::size_t kGranule = 64;  // size-class width
   static constexpr std::size_t kClasses = 65;  // pool frames up to ~4 KiB
+
+  static inline thread_local std::uint64_t allocations_ = 0;
 
   static std::size_t& header(void* raw) noexcept {
     return *static_cast<std::size_t*>(raw);

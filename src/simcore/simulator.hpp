@@ -168,6 +168,12 @@ class Simulator {
   /// the agenda refill inspected. Deterministic, and it grows with the
   /// events fired, not with the simulated idle time between them.
   std::uint64_t calendar_probes() const noexcept { return calendar_probes_; }
+  /// Coroutine frames allocated on this thread since the simulator was
+  /// constructed. Deterministic, and exact for the usual one simulator per
+  /// thread; a second live simulator's frames would count here too.
+  std::uint64_t frames_created() const noexcept {
+    return detail::FrameArena::allocations() - frames_base_;
+  }
 
   // ---- Observer-tick census ----
   // Self-re-arming observer timers (the Registry and Rollup samplers) park
@@ -435,6 +441,7 @@ class Simulator {
   std::exception_ptr pending_error_;
   std::uint64_t events_processed_ = 0;
   std::uint64_t calendar_probes_ = 0;
+  std::uint64_t frames_base_ = detail::FrameArena::allocations();
   std::uint64_t ff_settles_ = 0;
   bool tearing_down_ = false;
   bool debug_trace_ = false;

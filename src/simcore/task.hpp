@@ -4,6 +4,7 @@
 #include <coroutine>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "simcore/frame_arena.hpp"
@@ -102,6 +103,11 @@ class TaskPromise<void> final : public TaskPromiseBase {
 /// some_task_expr()`) starts it and resumes the awaiter when it completes,
 /// propagating exceptions. Top-level tasks are handed to
 /// `Simulator::spawn`, which keeps the frame alive until completion.
+///
+/// A default-constructed `Task<void>{}` holds no frame and is already
+/// complete: awaiting it neither suspends nor allocates. Functions whose
+/// common case has nothing to wait for (`vm::Domain::barrier` while the
+/// domain runs) return one instead of starting a coroutine.
 template <typename T = void>
 class [[nodiscard]] Task {
  public:
@@ -145,7 +151,12 @@ class [[nodiscard]] Task {
         h.promise().set_continuation(cont);
         return h;  // symmetric transfer: start the child immediately
       }
-      T await_resume() { return h.promise().take_result(); }
+      T await_resume() {
+        if constexpr (std::is_void_v<T>) {
+          if (!h) return;  // Task<void>{}: ready, nothing to collect
+        }
+        return h.promise().take_result();
+      }
     };
     return Awaiter{h_};
   }

@@ -4,8 +4,23 @@
 
 namespace vmig::storage {
 
-sim::Task<void> DiskScheduler::execute(IoOp op, BlockRange range,
-                                       std::uint32_t block_size, IoSource source) {
+DiskIo::~DiskIo() {
+  if (timer_ != 0) disk_->sim_.cancel(timer_);
+}
+
+void DiskIo::await_suspend(std::coroutine_handle<> h) {
+  assert(disk_ != nullptr);
+  timer_ = disk_->sim_.schedule_after(wait_, [h] { h.resume(); });
+}
+
+void DiskIo::await_resume() noexcept {
+  timer_ = 0;
+  --disk_->queue_depth_;
+  disk_->latency_.add(wait_);
+}
+
+DiskIo DiskScheduler::execute(IoOp op, BlockRange range, std::uint32_t block_size,
+                              IoSource source) {
   const sim::TimePoint arrival = sim_.now();
   const sim::TimePoint start = std::max(arrival, busy_until_);
   // Head position at dispatch time is wherever the previous request left it.
@@ -18,11 +33,7 @@ sim::Task<void> DiskScheduler::execute(IoOp op, BlockRange range,
   bytes_[static_cast<int>(source)] += range.bytes(block_size);
   ++requests_;
   ++queue_depth_;
-
-  co_await sim_.delay(completion - arrival);
-
-  --queue_depth_;
-  latency_.add(completion - arrival);
+  return DiskIo{*this, completion - arrival};
 }
 
 double DiskScheduler::utilization() const {

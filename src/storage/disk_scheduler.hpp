@@ -1,10 +1,11 @@
 #pragma once
 
+#include <cassert>
+#include <coroutine>
 #include <cstdint>
 
 #include "simcore/simulator.hpp"
 #include "simcore/stats.hpp"
-#include "simcore/task.hpp"
 #include "storage/block.hpp"
 #include "storage/disk_model.hpp"
 
@@ -13,6 +14,40 @@ namespace vmig::storage {
 /// Per-source accounting bucket for disk traffic.
 enum class IoSource : std::uint8_t { kGuest = 0, kMigration = 1, kOther = 2 };
 inline constexpr int kIoSourceCount = 3;
+
+class DiskScheduler;
+
+/// Completion awaiter of one disk request (`DiskScheduler::execute`): the
+/// request is queued when the awaiter is made, awaiting arms the completion
+/// timer, and resuming settles the queue depth and latency. Await it where
+/// it is made (an unawaited request stays in the queue depth); destroying
+/// the awaiting frame cancels the timer. Only an unarmed DiskIo may move.
+class [[nodiscard]] DiskIo {
+ public:
+  DiskIo() = default;
+  DiskIo(DiskIo&& o) noexcept : disk_{o.disk_}, wait_{o.wait_} {
+    assert(o.timer_ == 0);
+  }
+  DiskIo& operator=(DiskIo&& o) noexcept {
+    assert(timer_ == 0 && o.timer_ == 0);
+    disk_ = o.disk_;
+    wait_ = o.wait_;
+    return *this;
+  }
+  ~DiskIo();
+
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h);
+  void await_resume() noexcept;
+
+ private:
+  friend class DiskScheduler;
+  DiskIo(DiskScheduler& disk, sim::Duration wait) : disk_{&disk}, wait_{wait} {}
+
+  DiskScheduler* disk_ = nullptr;
+  sim::Duration wait_{};  ///< arrival to completion (queueing + service)
+  sim::Simulator::TimerId timer_ = 0;  ///< armed and not yet fired
+};
 
 /// FIFO single-server queue in front of a simulated disk.
 ///
@@ -28,9 +63,11 @@ class DiskScheduler {
   DiskScheduler(const DiskScheduler&) = delete;
   DiskScheduler& operator=(const DiskScheduler&) = delete;
 
-  /// Perform a timed I/O; resumes the caller when the disk completes it.
-  sim::Task<void> execute(IoOp op, BlockRange range, std::uint32_t block_size,
-                          IoSource source);
+  /// Queue a timed I/O now (head position, busy time, bytes, request
+  /// count, queue depth); awaiting the result resumes the caller when the
+  /// disk completes it.
+  DiskIo execute(IoOp op, BlockRange range, std::uint32_t block_size,
+                 IoSource source);
 
   /// Service time the next request would see (no queueing), for planning.
   sim::Duration estimate(IoOp op, BlockRange range, std::uint32_t block_size) const {
@@ -51,6 +88,8 @@ class DiskScheduler {
   const sim::LatencyHistogram& latency() const noexcept { return latency_; }
 
  private:
+  friend class DiskIo;
+
   sim::Simulator& sim_;
   DiskModel model_;
   sim::TimePoint busy_until_{};

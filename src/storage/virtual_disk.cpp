@@ -23,7 +23,8 @@ VirtualDisk::VirtualDisk(sim::Simulator& sim, Geometry geometry,
       owned_scheduler_{std::make_unique<DiskScheduler>(sim, DiskModel{model})},
       scheduler_{owned_scheduler_.get()},
       store_payloads_{store_payloads},
-      pages_((geometry.block_count + kTokenPageBlocks - 1) / kTokenPageBlocks),
+      pages_{sim::make_zeroed_array<Page>(
+          (geometry.block_count + kTokenPageBlocks - 1) / kTokenPageBlocks)},
       explicit_{std::make_unique_for_overwrite<ContentToken[]>(
           geometry.block_count)} {}
 
@@ -33,7 +34,8 @@ VirtualDisk::VirtualDisk(sim::Simulator& sim, Geometry geometry,
       geometry_{geometry},
       scheduler_{&shared},
       store_payloads_{store_payloads},
-      pages_((geometry.block_count + kTokenPageBlocks - 1) / kTokenPageBlocks),
+      pages_{sim::make_zeroed_array<Page>(
+          (geometry.block_count + kTokenPageBlocks - 1) / kTokenPageBlocks)},
       explicit_{std::make_unique_for_overwrite<ContentToken[]>(
           geometry.block_count)} {}
 
@@ -117,12 +119,12 @@ void VirtualDisk::read_tokens(BlockId first, std::uint64_t len,
   }
 }
 
-sim::Task<void> VirtualDisk::read(BlockRange range, IoSource source) {
+DiskIo VirtualDisk::read(BlockRange range, IoSource source) {
   assert(range.end() <= geometry_.block_count);
-  co_await scheduler_->execute(IoOp::kRead, range, geometry_.block_size, source);
+  return scheduler_->execute(IoOp::kRead, range, geometry_.block_size, source);
 }
 
-sim::Task<void> VirtualDisk::write(BlockRange range, IoSource source) {
+DiskIo VirtualDisk::write(BlockRange range, IoSource source) {
   assert(range.end() <= geometry_.block_count);
   // Fresh tokens in block order are an affine run.
   const ContentToken first = g_next_token;
@@ -139,22 +141,22 @@ sim::Task<void> VirtualDisk::write(BlockRange range, IoSource source) {
     payloads_[b] = std::move(data);
   }
   ++write_count_;
-  co_await scheduler_->execute(IoOp::kWrite, range, geometry_.block_size, source);
+  return scheduler_->execute(IoOp::kWrite, range, geometry_.block_size, source);
 }
 
-sim::Task<void> VirtualDisk::write_tokens(BlockRange range,
-                                          std::span<const ContentToken> tokens,
-                                          IoSource source) {
+DiskIo VirtualDisk::write_tokens(BlockRange range,
+                                 std::span<const ContentToken> tokens,
+                                 IoSource source) {
   assert(range.end() <= geometry_.block_count);
   assert(tokens.size() == range.count);
   install_tokens(range, tokens.data());
   ++write_count_;
-  co_await scheduler_->execute(IoOp::kWrite, range, geometry_.block_size, source);
+  return scheduler_->execute(IoOp::kWrite, range, geometry_.block_size, source);
 }
 
-sim::Task<void> VirtualDisk::write_bytes(BlockRange range,
-                                         std::span<const std::byte> bytes,
-                                         IoSource source) {
+DiskIo VirtualDisk::write_bytes(BlockRange range,
+                                std::span<const std::byte> bytes,
+                                IoSource source) {
   assert(range.end() <= geometry_.block_count);
   assert(bytes.size() == static_cast<std::size_t>(range.count) * geometry_.block_size);
   for (std::uint32_t i = 0; i < range.count; ++i) {
@@ -166,7 +168,7 @@ sim::Task<void> VirtualDisk::write_bytes(BlockRange range,
     }
   }
   ++write_count_;
-  co_await scheduler_->execute(IoOp::kWrite, range, geometry_.block_size, source);
+  return scheduler_->execute(IoOp::kWrite, range, geometry_.block_size, source);
 }
 
 std::vector<ContentToken> VirtualDisk::snapshot_tokens(BlockRange range) const {

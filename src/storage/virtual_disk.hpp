@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "simcore/simulator.hpp"
-#include "simcore/task.hpp"
+#include "simcore/zeroed_array.hpp"
 #include "storage/block.hpp"
 #include "storage/disk_scheduler.hpp"
 
@@ -54,22 +54,26 @@ class VirtualDisk {
   bool stores_payloads() const noexcept { return store_payloads_; }
 
   // ---- Timed I/O (contends on the disk with everything else) ----
+  //
+  // Each call changes the token state and queues the request on the disk
+  // when it is made, and returns the disk's completion awaiter:
+  // `co_await disk.write(r)` resumes when the write is on the platter.
 
   /// Timed read of a block range (no state change).
-  sim::Task<void> read(BlockRange range, IoSource source = IoSource::kGuest);
+  DiskIo read(BlockRange range, IoSource source = IoSource::kGuest);
 
   /// Timed guest-style write: every block in the range gets a fresh token.
-  sim::Task<void> write(BlockRange range, IoSource source = IoSource::kGuest);
+  DiskIo write(BlockRange range, IoSource source = IoSource::kGuest);
 
   /// Timed write that installs the given tokens (migration receive path).
   /// `tokens.size()` must equal `range.count`.
-  sim::Task<void> write_tokens(BlockRange range, std::span<const ContentToken> tokens,
-                               IoSource source = IoSource::kMigration);
+  DiskIo write_tokens(BlockRange range, std::span<const ContentToken> tokens,
+                      IoSource source = IoSource::kMigration);
 
   /// Timed write of real bytes (payload mode); token = content hash.
   /// `bytes.size()` must equal `range.count * block_size`.
-  sim::Task<void> write_bytes(BlockRange range, std::span<const std::byte> bytes,
-                              IoSource source = IoSource::kGuest);
+  DiskIo write_bytes(BlockRange range, std::span<const std::byte> bytes,
+                     IoSource source = IoSource::kGuest);
 
   // ---- Untimed state access (bookkeeping, assertions, transfers) ----
 
@@ -123,7 +127,8 @@ class VirtualDisk {
   static ContentToken hash_bytes(std::span<const std::byte> bytes);
 
  private:
-  enum class PageTag : std::uint8_t { kZero, kAffine, kExplicit };
+  enum class PageTag : std::uint8_t { kZero = 0, kAffine, kExplicit };
+  /// All-zero bytes are a zero page, so the page table starts zeroed.
   struct Page {
     ContentToken base = 0;  ///< affine pages: token(b) = base + b
     PageTag tag = PageTag::kZero;
@@ -150,7 +155,9 @@ class VirtualDisk {
   std::unique_ptr<DiskScheduler> owned_scheduler_;  ///< standalone mode only
   DiskScheduler* scheduler_;
   bool store_payloads_;
-  std::vector<Page> pages_;
+  /// One rule per kTokenPageBlocks blocks. Allocated zeroed and untouched,
+  /// so a testbed touches only the pages it uses.
+  sim::ZeroedArray<Page> pages_;
   /// Tokens of explicit pages, indexed by block. Allocated uninitialized:
   /// only entries of explicit pages are ever written or read.
   std::unique_ptr<ContentToken[]> explicit_;

@@ -7,100 +7,86 @@
 
 namespace vmig::vm {
 
-sim::Task<void> BlkBackend::submit_write_bytes(DomainId domain,
-                                               storage::BlockRange range,
-                                               std::span<const std::byte> bytes) {
-  if (interceptor_ != nullptr) {
-    co_await interceptor_->on_request(domain, storage::IoOp::kWrite, range);
+GuestIo::GuestIo(BlkBackend& be, DomainId domain, storage::IoOp op,
+                 storage::BlockRange range, std::span<const std::byte> bytes)
+    : be_{&be}, domain_{domain}, op_{op}, range_{range}, bytes_{bytes} {
+  if (op == storage::IoOp::kWrite && be.mark_write(domain, range) &&
+      be.tracking_overhead_ > sim::Duration::zero()) {
+    overhead_ = be.tracking_overhead_;  // hand-off when the overhead is paid
+    return;
   }
-  if (tracking_ && domain == served_) {
-    // vmig-lint: hot-begin -- dirty-mark: runs on every tracked guest
-    // write; the block-bitmap's whole point is that this is cheap
-    {
-      obs::ProfScope prof{obs::ProfCategory::kBitmapMark};
-      obs::prof_count(obs::ProfCategory::kBitmapMark, range.count);
-      dirty_.set_range(range.start, range.count);
-      marks_total_ += range.count;
-    }
-    // vmig-lint: hot-end
-    if (obs_dirty_marks_ != nullptr) obs_dirty_marks_->add(range.count);
-    if (redirty_hook_) redirty_hook_(range);
-    if (tracking_overhead_ > sim::Duration::zero()) {
-      co_await sim_.delay(tracking_overhead_);
-    }
-  }
-  ++writes_;
-  write_bytes_ += range.bytes(disk_.geometry().block_size);
-  if (obs_write_ops_ != nullptr) {
-    obs_write_ops_->add(1.0);
-    obs_write_bytes_->add(
-        static_cast<double>(range.bytes(disk_.geometry().block_size)));
-  }
-  co_await disk_.write_bytes(range, bytes, storage::IoSource::kGuest);
-  if (write_observer_ && domain == served_) write_observer_(range);
+  disk_ = be.hand_off(op, range, bytes);
 }
 
-sim::Task<void> BlkBackend::submit(DomainId domain, storage::IoOp op,
-                                   storage::BlockRange range) {
+GuestIo::~GuestIo() {
+  if (overhead_timer_ != 0) be_->sim_.cancel(overhead_timer_);
+}
+
+std::coroutine_handle<> GuestIo::await_suspend(std::coroutine_handle<> h) {
+  if (deferred_.valid()) {
+    return std::move(deferred_).operator co_await().await_suspend(h);
+  }
+  if (overhead_ > sim::Duration::zero()) {
+    overhead_timer_ = be_->sim_.schedule_after(overhead_, [this, h] {
+      overhead_timer_ = 0;
+      disk_ = be_->hand_off(op_, range_, bytes_);
+      disk_.await_suspend(h);
+    });
+  } else {
+    disk_.await_suspend(h);
+  }
+  return std::noop_coroutine();
+}
+
+void GuestIo::await_resume() {
+  if (deferred_.valid()) {
+    std::move(deferred_).operator co_await().await_resume();
+    return;
+  }
+  disk_.await_resume();
+  // The write observer is looked up at completion, like the write itself.
+  if (op_ == storage::IoOp::kWrite && be_->write_observer_ &&
+      domain_ == be_->served_) {
+    be_->write_observer_(range_);
+  }
+}
+
+GuestIo BlkBackend::request(DomainId domain, storage::IoOp op,
+                            storage::BlockRange range,
+                            std::span<const std::byte> bytes) {
   // Post-copy interception gets first crack: it may hold the request until
   // the accessed blocks are synchronized (paper §IV-A-3 destination rules).
   if (interceptor_ != nullptr) {
-    co_await interceptor_->on_request(domain, op, range);
+    return GuestIo{intercepted(domain, op, range, bytes)};
   }
-
-  if (op == storage::IoOp::kWrite) {
-    if (tracking_ && domain == served_) {
-      // vmig-lint: hot-begin -- dirty-mark on the guest write fast path
-      {
-        // The paper's blkback splits the written area into 4 KB blocks and
-        // sets the corresponding bits.
-        obs::ProfScope prof{obs::ProfCategory::kBitmapMark};
-        obs::prof_count(obs::ProfCategory::kBitmapMark, range.count);
-        dirty_.set_range(range.start, range.count);
-        marks_total_ += range.count;
-      }
-      // vmig-lint: hot-end
-      if (obs_dirty_marks_ != nullptr) obs_dirty_marks_->add(range.count);
-      if (redirty_hook_) redirty_hook_(range);
-      if (tracking_overhead_ > sim::Duration::zero()) {
-        co_await sim_.delay(tracking_overhead_);
-      }
-    }
-    ++writes_;
-    write_bytes_ += range.bytes(disk_.geometry().block_size);
-    if (obs_write_ops_ != nullptr) {
-      obs_write_ops_->add(1.0);
-      obs_write_bytes_->add(
-          static_cast<double>(range.bytes(disk_.geometry().block_size)));
-    }
-    co_await disk_.write(range, storage::IoSource::kGuest);
-    if (write_observer_ && domain == served_) write_observer_(range);
-  } else {
-    ++reads_;
-    read_bytes_ += range.bytes(disk_.geometry().block_size);
-    if (obs_read_ops_ != nullptr) {
-      obs_read_ops_->add(1.0);
-      obs_read_bytes_->add(
-          static_cast<double>(range.bytes(disk_.geometry().block_size)));
-    }
-    co_await disk_.read(range, storage::IoSource::kGuest);
-  }
+  return GuestIo{*this, domain, op, range, bytes};
 }
 
-void BlkBackend::note_guest_write(storage::BlockRange range) {
-  if (tracking_) {
-    // vmig-lint: hot-begin -- modeled dirty-mark: the ticked execution of a
-    // dirty-rate model runs this once per tick
-    {
-      obs::ProfScope prof{obs::ProfCategory::kBitmapMark};
-      obs::prof_count(obs::ProfCategory::kBitmapMark, range.count);
-      dirty_.set_range(range.start, range.count);
-      marks_total_ += range.count;
-    }
-    // vmig-lint: hot-end
-    if (obs_dirty_marks_ != nullptr) obs_dirty_marks_->add(range.count);
-    if (redirty_hook_) redirty_hook_(range);
+sim::Task<void> BlkBackend::intercepted(DomainId domain, storage::IoOp op,
+                                        storage::BlockRange range,
+                                        std::span<const std::byte> bytes) {
+  co_await interceptor_->on_request(domain, op, range);
+  co_await GuestIo{*this, domain, op, range, bytes};
+}
+
+bool BlkBackend::mark_write(DomainId domain, storage::BlockRange range) {
+  if (!tracking_ || domain != served_) return false;
+  // vmig-lint: hot-begin -- dirty-mark on the guest write fast path
+  {
+    // The paper's blkback splits the written area into 4 KB blocks and
+    // sets the corresponding bits.
+    obs::ProfScope prof{obs::ProfCategory::kBitmapMark};
+    obs::prof_count(obs::ProfCategory::kBitmapMark, range.count);
+    dirty_.set_range(range.start, range.count);
+    marks_total_ += range.count;
   }
+  // vmig-lint: hot-end
+  if (obs_dirty_marks_ != nullptr) obs_dirty_marks_->add(range.count);
+  if (redirty_hook_) redirty_hook_(range);
+  return true;
+}
+
+void BlkBackend::count_write(storage::BlockRange range) {
   ++writes_;
   write_bytes_ += range.bytes(disk_.geometry().block_size);
   if (obs_write_ops_ != nullptr) {
@@ -108,6 +94,28 @@ void BlkBackend::note_guest_write(storage::BlockRange range) {
     obs_write_bytes_->add(
         static_cast<double>(range.bytes(disk_.geometry().block_size)));
   }
+}
+
+storage::DiskIo BlkBackend::hand_off(storage::IoOp op, storage::BlockRange range,
+                                     std::span<const std::byte> bytes) {
+  if (op == storage::IoOp::kWrite) {
+    count_write(range);
+    return bytes.empty() ? disk_.write(range, storage::IoSource::kGuest)
+                         : disk_.write_bytes(range, bytes, storage::IoSource::kGuest);
+  }
+  ++reads_;
+  read_bytes_ += range.bytes(disk_.geometry().block_size);
+  if (obs_read_ops_ != nullptr) {
+    obs_read_ops_->add(1.0);
+    obs_read_bytes_->add(
+        static_cast<double>(range.bytes(disk_.geometry().block_size)));
+  }
+  return disk_.read(range, storage::IoSource::kGuest);
+}
+
+void BlkBackend::note_guest_write(storage::BlockRange range) {
+  mark_write(served_, range);
+  count_write(range);
   if (write_observer_) write_observer_(range);
 }
 

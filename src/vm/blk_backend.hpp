@@ -1,7 +1,9 @@
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -29,6 +31,48 @@ class IoInterceptor {
   virtual ~IoInterceptor() = default;
   virtual sim::Task<void> on_request(DomainId domain, storage::IoOp op,
                                      storage::BlockRange range) = 0;
+};
+
+class BlkBackend;
+
+/// One guest block request in flight, as `BlkBackend::submit` returns it.
+///
+/// Each layer of the split driver does its bookkeeping when the request is
+/// made; the caller then waits on one timer, the disk's completion. A
+/// tracked write with a tracking overhead first waits out the overhead on a
+/// timer whose handler hands the write to the disk. Requests that must wait
+/// for an interceptor or for a suspended domain's resume run as a coroutine
+/// that the awaiter starts. Await it where it is made; destroying the
+/// awaiting frame cancels the pending timer. See docs/INTERNALS.md, "Guest
+/// I/O path".
+class [[nodiscard]] GuestIo {
+ public:
+  /// A request that runs as the coroutine `deferred`.
+  explicit GuestIo(sim::Task<void> deferred) noexcept
+      : deferred_{std::move(deferred)} {}
+  GuestIo(const GuestIo&) = delete;
+  GuestIo& operator=(const GuestIo&) = delete;
+  ~GuestIo();
+
+  bool await_ready() const noexcept { return false; }
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> h);
+  void await_resume();
+
+ private:
+  friend class BlkBackend;
+  /// Submit to blkback now. `bytes` non-empty makes a payload write.
+  GuestIo(BlkBackend& be, DomainId domain, storage::IoOp op,
+          storage::BlockRange range, std::span<const std::byte> bytes);
+
+  BlkBackend* be_ = nullptr;
+  DomainId domain_ = 0;
+  storage::IoOp op_ = storage::IoOp::kRead;
+  storage::BlockRange range_{};
+  std::span<const std::byte> bytes_;
+  sim::Duration overhead_{};               ///< tracking cost still to wait
+  sim::Simulator::TimerId overhead_timer_ = 0;  ///< armed and not yet fired
+  storage::DiskIo disk_;
+  sim::Task<void> deferred_;
 };
 
 /// A lazily-settled producer of dirty state (the fast-forward contract).
@@ -77,13 +121,17 @@ class BlkBackend {
   void set_served(DomainId d) noexcept { served_ = d; }
 
   /// Guest I/O entry point (what the frontend ring delivers).
-  sim::Task<void> submit(DomainId domain, storage::IoOp op,
-                         storage::BlockRange range);
+  GuestIo submit(DomainId domain, storage::IoOp op, storage::BlockRange range) {
+    return request(domain, op, range, {});
+  }
 
   /// Guest write carrying real bytes (payload-backed disks). Same
-  /// interception/tracking path as submit(); `bytes` must cover the range.
-  sim::Task<void> submit_write_bytes(DomainId domain, storage::BlockRange range,
-                                     std::span<const std::byte> bytes);
+  /// interception/tracking path as submit(); `bytes` must cover the range
+  /// and outlive the request.
+  GuestIo submit_write_bytes(DomainId domain, storage::BlockRange range,
+                             std::span<const std::byte> bytes) {
+    return request(domain, storage::IoOp::kWrite, range, bytes);
+  }
 
   // ---- Modeled guest writes (dirty-rate models / fast-forward) ----
 
@@ -216,6 +264,22 @@ class BlkBackend {
   void attach_obs(obs::Registry& registry, const std::string& prefix);
 
  private:
+  friend class GuestIo;
+
+  GuestIo request(DomainId domain, storage::IoOp op, storage::BlockRange range,
+                  std::span<const std::byte> bytes);
+  /// The request held by the interceptor: on_request, then submitted.
+  sim::Task<void> intercepted(DomainId domain, storage::IoOp op,
+                              storage::BlockRange range,
+                              std::span<const std::byte> bytes);
+  /// Mark a served-domain write in the bitmap and run the redirty hook
+  /// while tracking; true if it was tracked.
+  bool mark_write(DomainId domain, storage::BlockRange range);
+  void count_write(storage::BlockRange range);
+  /// Count the request and queue it on the disk.
+  storage::DiskIo hand_off(storage::IoOp op, storage::BlockRange range,
+                           std::span<const std::byte> bytes);
+
   /// Observation-point settle. Logically const: the source folds modeled
   /// writes that already happened (in simulated time) into the backend
   /// state a const reader is about to look at.

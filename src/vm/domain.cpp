@@ -24,26 +24,26 @@ sim::Duration Domain::total_suspended_time() const {
   return t;
 }
 
-sim::Task<void> Domain::barrier() {
+sim::Task<void> Domain::wait_for_resume() {
   while (state_ == State::kSuspended) {
     co_await resume_notifier_.wait();
   }
 }
 
-sim::Task<void> Domain::disk_read(storage::BlockRange range) {
-  co_await barrier();
-  co_await frontend_.submit(storage::IoOp::kRead, range);
+GuestIo Domain::request(storage::IoOp op, storage::BlockRange range,
+                        std::span<const std::byte> bytes) {
+  if (state_ == State::kSuspended) {
+    return GuestIo{request_after_resume(op, range, bytes)};
+  }
+  if (!bytes.empty()) return frontend_.submit_write_bytes(range, bytes);
+  return frontend_.submit(op, range);
 }
 
-sim::Task<void> Domain::disk_write(storage::BlockRange range) {
-  co_await barrier();
-  co_await frontend_.submit(storage::IoOp::kWrite, range);
-}
-
-sim::Task<void> Domain::disk_write_bytes(storage::BlockRange range,
-                                         std::span<const std::byte> bytes) {
-  co_await barrier();
-  co_await frontend_.submit_write_bytes(range, bytes);
+sim::Task<void> Domain::request_after_resume(storage::IoOp op,
+                                             storage::BlockRange range,
+                                             std::span<const std::byte> bytes) {
+  co_await wait_for_resume();
+  co_await request(op, range, bytes);
 }
 
 }  // namespace vmig::vm

@@ -42,13 +42,13 @@ class BlkFrontend {
   }
   void clear_rebind_hook() { rebind_hook_ = nullptr; }
 
-  sim::Task<void> submit(storage::IoOp op, storage::BlockRange range) {
+  GuestIo submit(storage::IoOp op, storage::BlockRange range) {
     assert(backend_ != nullptr && "frontend not connected to a backend");
     return backend_->submit(owner_, op, range);
   }
 
-  sim::Task<void> submit_write_bytes(storage::BlockRange range,
-                                     std::span<const std::byte> bytes) {
+  GuestIo submit_write_bytes(storage::BlockRange range,
+                             std::span<const std::byte> bytes) {
     assert(backend_ != nullptr && "frontend not connected to a backend");
     return backend_->submit_write_bytes(owner_, range, bytes);
   }
@@ -63,9 +63,10 @@ class BlkFrontend {
 /// frontend, with a run/suspend lifecycle.
 ///
 /// Workload coroutines drive the domain; every guest-visible operation
-/// passes a `barrier()` that holds while the domain is suspended, so the
-/// freeze-and-copy phase stops the guest exactly as Xen's suspend does, and
-/// resume at the destination lets it continue where it stopped.
+/// holds while the domain is suspended (`barrier()`, and the disk requests
+/// themselves), so the freeze-and-copy phase stops the guest exactly as
+/// Xen's suspend does, and resume at the destination lets it continue
+/// where it stopped.
 class Domain {
  public:
   enum class State : std::uint8_t { kRunning, kSuspended };
@@ -111,21 +112,42 @@ class Domain {
   /// Wall-clock the guest has spent frozen (downtime accounting cross-check).
   sim::Duration total_suspended_time() const;
 
-  /// Completes immediately while running; holds while suspended.
-  sim::Task<void> barrier();
+  /// Completes immediately while running — an empty, already-ready task,
+  /// so the common case allocates nothing; holds while suspended.
+  sim::Task<void> barrier() {
+    if (state_ == State::kRunning) return {};
+    return wait_for_resume();
+  }
 
   // ---- Guest-side operations used by workload drivers ----
+  //
+  // A request made while the domain runs goes straight to the frontend; one
+  // made while it is suspended waits in a coroutine for the resume and then
+  // takes the same path.
 
-  sim::Task<void> disk_read(storage::BlockRange range);
-  sim::Task<void> disk_write(storage::BlockRange range);
+  GuestIo disk_read(storage::BlockRange range) {
+    return request(storage::IoOp::kRead, range, {});
+  }
+  GuestIo disk_write(storage::BlockRange range) {
+    return request(storage::IoOp::kWrite, range, {});
+  }
   /// Write real bytes (payload-backed disks); tracked like any guest write.
-  sim::Task<void> disk_write_bytes(storage::BlockRange range,
-                                   std::span<const std::byte> bytes);
+  GuestIo disk_write_bytes(storage::BlockRange range,
+                           std::span<const std::byte> bytes) {
+    return request(storage::IoOp::kWrite, range, bytes);
+  }
 
   /// Guest store to a memory page (dirty-logged during pre-copy).
   void touch_memory(PageId p) { memory_.write_page(p); }
 
  private:
+  sim::Task<void> wait_for_resume();
+  /// `bytes` non-empty makes a payload write.
+  GuestIo request(storage::IoOp op, storage::BlockRange range,
+                  std::span<const std::byte> bytes);
+  sim::Task<void> request_after_resume(storage::IoOp op, storage::BlockRange range,
+                                       std::span<const std::byte> bytes);
+
   sim::Simulator& sim_;
   DomainId id_;
   std::string name_;

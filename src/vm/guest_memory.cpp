@@ -6,11 +6,12 @@ namespace vmig::vm {
 
 GuestMemory::GuestMemory(std::uint64_t mib, std::uint32_t page_size)
     : page_size_{page_size},
-      versions_(mib * 1024 * 1024 / page_size, 0),
-      dirty_{versions_.size()} {}
+      page_count_{mib * 1024 * 1024 / page_size},
+      versions_{sim::make_zeroed_array<std::uint64_t>(page_count_)},
+      dirty_{page_count_} {}
 
 void GuestMemory::write_page(PageId p) {
-  assert(p < versions_.size());
+  assert(p < page_count_);
   versions_[p] = next_version_++;
   ++write_count_;
   if (log_enabled_) dirty_.set(p);

@@ -1,9 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "core/block_bitmap.hpp"
+#include "simcore/zeroed_array.hpp"
 #include "vm/types.hpp"
 
 namespace vmig::vm {
@@ -19,7 +20,7 @@ class GuestMemory {
  public:
   explicit GuestMemory(std::uint64_t mib, std::uint32_t page_size = 4096);
 
-  std::uint64_t page_count() const noexcept { return versions_.size(); }
+  std::uint64_t page_count() const noexcept { return page_count_; }
   std::uint32_t page_size() const noexcept { return page_size_; }
   std::uint64_t total_bytes() const noexcept {
     return page_count() * page_size_;
@@ -35,7 +36,9 @@ class GuestMemory {
 
   /// True iff every page version matches (migration correctness check).
   bool content_equals(const GuestMemory& o) const {
-    return versions_ == o.versions_;
+    return page_count_ == o.page_count_ &&
+           std::equal(versions_.get(), versions_.get() + page_count_,
+                      o.versions_.get());
   }
 
   // ---- Hypervisor dirty log ----
@@ -56,7 +59,10 @@ class GuestMemory {
 
  private:
   std::uint32_t page_size_;
-  std::vector<std::uint64_t> versions_;
+  std::uint64_t page_count_;
+  /// Allocated zeroed and untouched: version 0 is a never-written page,
+  /// and a guest pays only for the pages it writes.
+  sim::ZeroedArray<std::uint64_t> versions_;
   core::BlockBitmap dirty_;
   bool log_enabled_ = false;
   std::uint64_t write_count_ = 0;

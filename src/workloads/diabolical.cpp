@@ -2,11 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/profiler.hpp"
-
 namespace vmig::workload {
-
-using namespace vmig::sim::literals;
 
 namespace {
 constexpr double kMiB = 1024.0 * 1024.0;
@@ -14,11 +10,7 @@ constexpr double kMiB = 1024.0 * 1024.0;
 
 DiabolicalWorkload::DiabolicalWorkload(sim::Simulator& sim, vm::Domain& domain,
                                        std::uint64_t seed, DiabolicalParams params)
-    : Workload{sim, domain, seed}, p_{params} {
-  for (const auto& name : phase_names()) {
-    meters_.emplace(name, std::make_unique<sim::RateMeter>(1_s, "B/s"));
-  }
-}
+    : Workload{sim, domain, seed}, p_{params} {}
 
 const std::vector<std::string>& DiabolicalWorkload::phase_names() {
   static const std::vector<std::string> kNames{"putc", "write2", "rewrite",
@@ -26,10 +18,19 @@ const std::vector<std::string>& DiabolicalWorkload::phase_names() {
   return kNames;
 }
 
+const DiabolicalWorkload::PhaseStats* DiabolicalWorkload::find_phase(
+    const std::string& phase) const {
+  const auto& names = phase_names();
+  const auto it = std::find(names.begin(), names.end(), phase);
+  return it == names.end()
+             ? nullptr
+             : &phases_[static_cast<std::size_t>(it - names.begin())];
+}
+
 const sim::RateMeter* DiabolicalWorkload::phase_meter(
     const std::string& phase) const {
-  const auto it = meters_.find(phase);
-  return it == meters_.end() ? nullptr : it->second.get();
+  const PhaseStats* ps = find_phase(phase);
+  return ps == nullptr ? nullptr : &ps->meter;
 }
 
 double DiabolicalWorkload::phase_mean(const std::string& phase,
@@ -54,8 +55,8 @@ double DiabolicalWorkload::phase_mean(const std::string& phase,
 }
 
 sim::Duration DiabolicalWorkload::phase_time(const std::string& phase) const {
-  const auto it = phase_times_.find(phase);
-  return it == phase_times_.end() ? sim::Duration::zero() : it->second;
+  const PhaseStats* ps = find_phase(phase);
+  return ps == nullptr ? sim::Duration::zero() : ps->time;
 }
 
 double DiabolicalWorkload::phase_rate(const std::string& phase) const {
@@ -66,12 +67,12 @@ double DiabolicalWorkload::phase_rate(const std::string& phase) const {
 }
 
 void DiabolicalWorkload::finish_phase_metrics() {
-  for (auto& [name, meter] : meters_) meter->finish(sim_.now());
+  for (PhaseStats& ps : phases_) ps.meter.finish(sim_.now());
   finish_metrics();
 }
 
-void DiabolicalWorkload::phase_account(const std::string& phase, double bytes) {
-  meters_.at(phase)->add(sim_.now(), bytes);
+void DiabolicalWorkload::phase_account(Phase phase, double bytes) {
+  phases_[phase].meter.add(sim_.now(), bytes);
   account(bytes);
 }
 
@@ -92,23 +93,20 @@ sim::Task<void> DiabolicalWorkload::run() {
 
   while (!stop_requested()) {
     sim::TimePoint mark = sim_.now();
-    const auto lap = [&](const char* phase) {
-      // Per-phase accounting (map node insert on first touch of a phase
-      // name) is workload bookkeeping, not migration dispatch.
-      obs::ProfScope lap_prof{obs::ProfCategory::kOther};
-      phase_times_[phase] += sim_.now() - mark;
+    const auto lap = [&](Phase phase) {
+      phases_[phase].time += sim_.now() - mark;
       mark = sim_.now();
     };
     co_await putc_phase();
-    lap("putc");
+    lap(kPutc);
     co_await write2_phase();
-    lap("write2");
+    lap(kWrite2);
     co_await rewrite_phase();
-    lap("rewrite");
+    lap(kRewrite);
     co_await getc_phase();
-    lap("getc");
+    lap(kGetc);
     co_await seeks_phase();
-    lap("seeks");
+    lap(kSeeks);
     ++cycles_;
     if (p_.max_cycles > 0 && cycles_ >= p_.max_cycles) break;
   }
@@ -130,7 +128,7 @@ sim::Task<void> DiabolicalWorkload::putc_phase() {
     co_await sim_.delay(cpu_cost);
     co_await write_blocks(next_seq_chunk(file_start_, half));
     touch_pages(p_.pages_per_chunk);
-    phase_account("putc", chunk_bytes);
+    phase_account(kPutc, chunk_bytes);
   }
 }
 
@@ -144,7 +142,7 @@ sim::Task<void> DiabolicalWorkload::write2_phase() {
     co_await domain_.barrier();
     co_await write_blocks(next_seq_chunk(file_start_ + half, half));
     touch_pages(p_.pages_per_chunk);
-    phase_account("write2", chunk_bytes);
+    phase_account(kWrite2, chunk_bytes);
   }
 }
 
@@ -161,7 +159,7 @@ sim::Task<void> DiabolicalWorkload::rewrite_phase() {
     co_await sim_.delay(p_.rewrite_rotation);  // missed-revolution cost
     co_await write_blocks(chunk);
     touch_pages(p_.pages_per_chunk);
-    phase_account("rewrite", chunk_bytes);
+    phase_account(kRewrite, chunk_bytes);
   }
 }
 
@@ -175,7 +173,7 @@ sim::Task<void> DiabolicalWorkload::getc_phase() {
     co_await domain_.barrier();
     co_await read_blocks(next_seq_chunk(file_start_, file_blocks_));
     co_await sim_.delay(cpu_cost);
-    phase_account("getc", chunk_bytes);
+    phase_account(kGetc, chunk_bytes);
   }
 }
 
@@ -188,7 +186,7 @@ sim::Task<void> DiabolicalWorkload::seeks_phase() {
     if (rng_.bernoulli(0.1)) {
       co_await write_blocks(storage::BlockRange{b, 2});
     }
-    phase_account("seeks", 2 * 4096.0);
+    phase_account(kSeeks, 2 * 4096.0);
   }
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 
-#include <map>
-#include <memory>
+#include <array>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -71,6 +71,16 @@ class DiabolicalWorkload final : public Workload {
   sim::Task<void> run() override;
 
  private:
+  /// Index of a phase in phase_names() order.
+  enum Phase : std::size_t { kPutc, kWrite2, kRewrite, kGetc, kSeeks, kPhaseCount };
+  struct PhaseStats {
+    sim::RateMeter meter{sim::Duration::seconds(1), "B/s"};
+    sim::Duration time{};
+  };
+
+  /// Stats of the named phase, or null if the name is unknown.
+  const PhaseStats* find_phase(const std::string& phase) const;
+
   // Each phase processes the whole scratch file once, exactly as Bonnie++
   // does — so a slower disk stretches the phase instead of shrinking its
   // coverage.
@@ -80,7 +90,7 @@ class DiabolicalWorkload final : public Workload {
   sim::Task<void> getc_phase();
   sim::Task<void> seeks_phase();
 
-  void phase_account(const std::string& phase, double bytes);
+  void phase_account(Phase phase, double bytes);
   storage::BlockRange next_seq_chunk(std::uint64_t base, std::uint64_t blocks);
 
   DiabolicalParams p_;
@@ -88,8 +98,7 @@ class DiabolicalWorkload final : public Workload {
   std::uint64_t file_start_ = 0;
   std::uint64_t file_blocks_ = 0;
   std::uint64_t seq_cursor_ = 0;
-  std::map<std::string, std::unique_ptr<sim::RateMeter>> meters_;
-  std::map<std::string, sim::Duration> phase_times_;
+  std::array<PhaseStats, kPhaseCount> phases_;
 };
 
 }  // namespace vmig::workload

@@ -9,14 +9,14 @@ Workload::Workload(sim::Simulator& sim, vm::Domain& domain, std::uint64_t seed)
 
 void Workload::start() { handle_ = sim_.spawn(run(), name()); }
 
-sim::Task<void> Workload::read_blocks(storage::BlockRange r) {
+vm::GuestIo Workload::read_blocks(storage::BlockRange r) {
   if (trace_ != nullptr) trace_->record(sim_.now(), storage::IoOp::kRead, r);
-  co_await domain_.disk_read(r);
+  return domain_.disk_read(r);
 }
 
-sim::Task<void> Workload::write_blocks(storage::BlockRange r) {
+vm::GuestIo Workload::write_blocks(storage::BlockRange r) {
   if (trace_ != nullptr) trace_->record(sim_.now(), storage::IoOp::kWrite, r);
-  co_await domain_.disk_write(r);
+  return domain_.disk_write(r);
 }
 
 void Workload::touch_pages(int n) {

@@ -51,8 +51,9 @@ class Workload {
   // ---- Helpers for subclasses ----
 
   /// Guest disk read/write via the domain (traced when a trace is attached).
-  sim::Task<void> read_blocks(storage::BlockRange r);
-  sim::Task<void> write_blocks(storage::BlockRange r);
+  /// The request is made by the call; `co_await` it right away.
+  vm::GuestIo read_blocks(storage::BlockRange r);
+  vm::GuestIo write_blocks(storage::BlockRange r);
 
   /// Account application payload serviced to clients.
   void account(double bytes) { meter_.add(sim_.now(), bytes); }

@@ -161,6 +161,46 @@ TEST(DiskSchedulerTest, UtilizationAndBusyTime) {
   EXPECT_NEAR(sched.latency().max().to_seconds(), 1.0, 0.5);
 }
 
+TEST(DiskSchedulerTest, QueueDepthAndLatencyChangeOnlyAtCompletion) {
+  Simulator sim;
+  DiskModelParams p;
+  p.seq_read_mbps = 1.0;  // 1 MiB takes 1 s
+  p.request_overhead = Duration::zero();
+  p.seek = Duration::zero();
+  DiskScheduler sched{sim, DiskModel{p}};
+  TimePoint done{};
+  sim.spawn([](DiskScheduler& d, Simulator& s, TimePoint& t) -> Task<void> {
+    co_await d.execute(IoOp::kRead, BlockRange{0, 256}, 4096, IoSource::kGuest);
+    t = s.now();
+  }(sched, sim, done));
+  // Queued at the call: the disk's schedule and counters moved.
+  EXPECT_EQ(sched.queue_depth(), 1u);
+  EXPECT_EQ(sched.requests_completed(), 1u);
+  EXPECT_EQ(sched.latency().count(), 0u);
+  sim.run_until(TimePoint::origin() + 1_s - Duration::nanos(1));
+  EXPECT_EQ(sched.queue_depth(), 1u);
+  EXPECT_EQ(sched.latency().count(), 0u);
+  sim.run();
+  EXPECT_EQ(done, TimePoint::origin() + 1_s);
+  EXPECT_EQ(sched.queue_depth(), 0u);
+  EXPECT_EQ(sched.latency().count(), 1u);
+}
+
+TEST(DiskSchedulerTest, DestroyingRequesterCancelsCompletion) {
+  Simulator sim;
+  DiskScheduler sched{sim, DiskModel{DiskModelParams{}}};
+  {
+    Task<void> t = [](DiskScheduler& d) -> Task<void> {
+      co_await d.execute(IoOp::kWrite, BlockRange{0, 8}, 4096, IoSource::kGuest);
+    }(sched);
+    t.start();
+    EXPECT_EQ(sim.pending_count(), 1u);
+  }
+  EXPECT_EQ(sim.pending_count(), 0u);
+  sim.run();  // nothing resumes the destroyed frame
+  EXPECT_EQ(sched.latency().count(), 0u);
+}
+
 TEST(VirtualDiskTest, FreshDiskIsZero) {
   Simulator sim;
   VirtualDisk d{sim, Geometry::from_blocks(100)};
@@ -507,6 +547,10 @@ class PagedStoreDifferential {
   void run(Task<void> t) {
     sim_.spawn(std::move(t));
     sim_.run();
+  }
+  /// The disk's timed calls return their completion awaiter directly.
+  void run(DiskIo io) {
+    run([](DiskIo io) -> Task<void> { co_await io; }(std::move(io)));
   }
 
   void receive(Modeled& m, BlockRange r, std::span<const ContentToken> toks) {

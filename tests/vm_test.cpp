@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "simcore/simulator.hpp"
 #include "storage/virtual_disk.hpp"
 #include "vm/blk_backend.hpp"
@@ -203,6 +205,158 @@ TEST_F(BlkBackendTest, InterceptorHoldsRequests) {
   EXPECT_FALSE(be_.intercepting());
 }
 
+// ---- Request-path contract (what the recorded simulated outputs rely on) ----
+
+TEST_F(BlkBackendTest, InterceptedWriteWaitsForOnRequest) {
+  HoldInterceptor hold{sim_};
+  be_.install_interceptor(&hold);
+  be_.start_write_tracking(core::BitmapKind::kFlat);
+  bool done = false;
+  sim_.spawn([](BlkBackend& be, bool& done) -> Task<void> {
+    co_await be.submit(1, IoOp::kWrite, BlockRange{4, 2});
+    done = true;
+  }(be_, done));
+  sim_.run();
+  EXPECT_EQ(hold.intercepted, 1);
+  EXPECT_EQ(be_.guest_writes(), 0u);  // not counted, marked or written yet
+  EXPECT_EQ(be_.dirty_block_count(), 0u);
+  EXPECT_EQ(disk_.token(4), storage::kZeroBlockToken);
+  EXPECT_EQ(disk_.scheduler().queue_depth(), 0u);
+  hold.release();
+  sim_.run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(be_.guest_writes(), 1u);
+  EXPECT_EQ(be_.dirty_block_count(), 2u);
+  EXPECT_NE(disk_.token(4), storage::kZeroBlockToken);
+}
+
+TEST_F(BlkBackendTest, WriteObserverInstalledMidFlightFiresAtCompletion) {
+  sim::TimePoint done_at;
+  sim_.spawn([](Simulator& sim, BlkBackend& be, sim::TimePoint& at) -> Task<void> {
+    co_await be.submit(1, IoOp::kWrite, BlockRange{5, 2});
+    at = sim.now();
+  }(sim_, be_, done_at));
+  // The write is on its way to the disk; the observer arrives after it.
+  ASSERT_EQ(disk_.scheduler().queue_depth(), 1u);
+  std::vector<BlockRange> seen;
+  sim::TimePoint seen_at;
+  be_.set_write_observer([&](BlockRange r) {
+    seen.push_back(r);
+    seen_at = sim_.now();
+  });
+  sim_.run();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].start, 5u);
+  EXPECT_EQ(seen[0].count, 2u);
+  EXPECT_GT(seen_at, sim::TimePoint::origin());
+  EXPECT_EQ(seen_at, done_at);
+}
+
+TEST(BlkBackendContractTest, TrackedWriteWithOverheadTiming) {
+  Simulator sim;
+  storage::VirtualDisk disk{sim, Geometry::from_blocks(64)};
+  BlkBackend be{sim, disk, 1};
+  be.start_write_tracking(core::BitmapKind::kFlat);
+  be.set_tracking_overhead(2_us);
+  std::vector<sim::TimePoint> hook_at;
+  be.set_redirty_hook([&](BlockRange) { hook_at.push_back(sim.now()); });
+  const BlockRange r{8, 2};
+  const Duration service = disk.scheduler().estimate(IoOp::kWrite, r, 4096);
+  const auto t0 = sim::TimePoint::origin();
+  sim::TimePoint done_at;
+  sim.spawn([](Simulator& sim, BlkBackend& be, BlockRange r,
+               sim::TimePoint& at) -> Task<void> {
+    co_await be.submit(1, IoOp::kWrite, r);
+    at = sim.now();
+  }(sim, be, r, done_at));
+
+  // At submit: marked and hooked, but neither counted nor written.
+  EXPECT_EQ(be.dirty_block_count(), 2u);
+  EXPECT_EQ(hook_at, (std::vector<sim::TimePoint>{t0}));
+  EXPECT_EQ(be.guest_writes(), 0u);
+  EXPECT_EQ(disk.token(8), storage::kZeroBlockToken);
+  sim.run_until(t0 + 2_us - Duration::nanos(1));
+  EXPECT_EQ(be.guest_writes(), 0u);
+  EXPECT_EQ(disk.scheduler().queue_depth(), 0u);
+
+  // Overhead paid: counted, tokens installed, queued on the disk.
+  sim.run_until(t0 + 2_us);
+  EXPECT_EQ(be.guest_writes(), 1u);
+  EXPECT_NE(disk.token(8), storage::kZeroBlockToken);
+  EXPECT_EQ(disk.scheduler().queue_depth(), 1u);
+
+  sim.run();
+  EXPECT_EQ(done_at, t0 + 2_us + service);
+  EXPECT_EQ(disk.scheduler().queue_depth(), 0u);
+}
+
+TEST(BlkBackendContractTest, DestroyingRequesterCancelsItsTimer) {
+  Simulator sim;
+  storage::VirtualDisk disk{sim, Geometry::from_blocks(64)};
+  BlkBackend be{sim, disk, 1};
+  be.start_write_tracking(core::BitmapKind::kFlat);
+  be.set_tracking_overhead(2_us);
+  const auto write = [](BlkBackend& be) -> Task<void> {
+    co_await be.submit(1, IoOp::kWrite, BlockRange{0, 1});
+  };
+  {
+    Task<void> t = write(be);
+    t.start();  // waiting out the tracking overhead
+    EXPECT_EQ(sim.pending_count(), 1u);
+  }
+  EXPECT_EQ(sim.pending_count(), 0u);
+  {
+    Task<void> t = write(be);
+    t.start();
+    sim.run_until(sim.now() + 2_us);  // overhead paid: waiting on the disk
+    EXPECT_EQ(disk.scheduler().queue_depth(), 1u);
+    EXPECT_EQ(sim.pending_count(), 1u);
+  }
+  EXPECT_EQ(sim.pending_count(), 0u);
+  {
+    HoldInterceptor hold{sim};
+    be.install_interceptor(&hold);
+    Task<void> t = write(be);
+    t.start();  // held in the interceptor's coroutine
+    EXPECT_EQ(hold.intercepted, 1);
+    be.remove_interceptor();
+  }
+  sim.run();  // nothing resumes a destroyed frame
+  EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+TEST(BlkBackendContractTest, RunningDomainRequestsCreateNoFrames) {
+  Simulator sim;
+  storage::VirtualDisk disk{sim, Geometry::from_blocks(256)};
+  BlkBackend be{sim, disk, 7};
+  Domain d{sim, 7, "vm7", 16};
+  d.frontend().connect(&be);
+  std::vector<std::uint64_t> frames;
+  sim.spawn([](Simulator& sim, Domain& d, BlkBackend& be,
+               std::vector<std::uint64_t>& frames) -> Task<void> {
+    std::uint64_t f = sim.frames_created();
+    const auto record = [&] {
+      frames.push_back(sim.frames_created() - f);
+      f = sim.frames_created();
+    };
+    co_await d.disk_read(BlockRange{0, 4});
+    record();
+    co_await d.disk_write(BlockRange{4, 4});  // untracked
+    record();
+    be.start_write_tracking(core::BitmapKind::kFlat);
+    be.set_tracking_overhead(2_us);
+    co_await d.disk_write(BlockRange{8, 4});  // tracked, with overhead
+    record();
+    co_await d.barrier();
+    record();
+  }(sim, d, be, frames));
+  sim.run();
+  EXPECT_EQ(frames, (std::vector<std::uint64_t>{0, 0, 0, 0}));
+  EXPECT_EQ(be.guest_reads(), 1u);
+  EXPECT_EQ(be.guest_writes(), 2u);
+  EXPECT_EQ(be.dirty_block_count(), 4u);
+}
+
 TEST(DomainTest, LifecycleAndSuspendedTime) {
   Simulator sim;
   Domain d{sim, 1, "vm1", 16};
@@ -271,6 +425,40 @@ TEST(DomainTest, SuspendedDomainDoesNoIo) {
   d.resume();
   sim.run();
   EXPECT_EQ(be.guest_writes(), 1u);
+}
+
+TEST(DomainTest, SuspendedRequestWaitsForResumeThenTakesSamePath) {
+  // Issued on the source while frozen, the write lands on whichever
+  // backend the domain is connected to when it resumes, is tracked there,
+  // and completes a service time after the resume.
+  Simulator sim;
+  storage::VirtualDisk disk_a{sim, Geometry::from_blocks(64)};
+  storage::VirtualDisk disk_b{sim, Geometry::from_blocks(64)};
+  BlkBackend be_a{sim, disk_a, 7};
+  BlkBackend be_b{sim, disk_b, 7};
+  be_b.start_write_tracking(core::BitmapKind::kFlat);
+  Domain d{sim, 7, "vm7", 16};
+  d.frontend().connect(&be_a);
+  d.suspend();
+  sim::TimePoint done_at;
+  sim.spawn([](Simulator& sim, Domain& d, sim::TimePoint& at) -> Task<void> {
+    co_await d.disk_write(BlockRange{3, 1});
+    at = sim.now();
+  }(sim, d, done_at));
+  sim.run_for(1_ms);
+  EXPECT_EQ(be_a.guest_writes() + be_b.guest_writes(), 0u);
+  d.frontend().connect(&be_b);
+  const Duration service =
+      disk_b.scheduler().estimate(IoOp::kWrite, BlockRange{3, 1}, 4096);
+  const sim::TimePoint resumed = sim.now();
+  d.resume();
+  sim.run();
+  EXPECT_EQ(be_a.guest_writes(), 0u);
+  EXPECT_EQ(be_b.guest_writes(), 1u);
+  EXPECT_TRUE(be_b.snapshot_dirty().test(3));
+  EXPECT_EQ(disk_a.token(3), storage::kZeroBlockToken);
+  EXPECT_NE(disk_b.token(3), storage::kZeroBlockToken);
+  EXPECT_EQ(done_at, resumed + service);
 }
 
 TEST(DomainTest, FrontendRebindSwitchesDisks) {

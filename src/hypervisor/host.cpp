@@ -100,9 +100,6 @@ bool Host::hosts_domain(const vm::Domain& d) const {
 net::Link& Host::materialize_link(const Host& peer, net::LinkParams params) {
   auto& slot = links_[&peer];
   slot = std::make_unique<net::Link>(sim_, params);
-  // Conservative cross-shard synchronization: the delivery event of every
-  // transmission on this link is filed into the receiving host's shard.
-  slot->set_delivery_shard(peer.shard());
   if (link_created_) link_created_(*slot, peer);
   return *slot;
 }

@@ -109,14 +109,6 @@ class Host {
     link_created_ = std::move(fn);
   }
 
-  // ---- Sharded scheduling ----
-
-  /// Calendar shard this host's events belong to (see Simulator shards).
-  /// Links created after this point file their delivery events into the
-  /// *peer's* shard — the conservative handoff at the link boundary.
-  void set_shard(std::uint32_t s) noexcept { shard_ = s; }
-  std::uint32_t shard() const noexcept { return shard_; }
-
  private:
   net::Link& materialize_link(const Host& peer, net::LinkParams params);
   vm::BlkBackend* ensure_default_backend();
@@ -148,7 +140,6 @@ class Host {
   std::function<bool(const Host&)> mesh_oracle_;  ///< lazy-mesh admission
   net::LinkParams mesh_params_{};                 ///< params for lazy links
   std::function<void(net::Link&, const Host&)> link_created_;
-  std::uint32_t shard_ = 0;
 };
 
 }  // namespace vmig::hv

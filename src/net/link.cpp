@@ -43,13 +43,7 @@ sim::Task<void> Link::transmit(std::uint64_t bytes, TokenBucket* shaper) {
   if (obs_bytes_ != nullptr) obs_bytes_->add(static_cast<double>(bytes));
   if (obs_msgs_ != nullptr) obs_msgs_->add(1.0);
   const sim::TimePoint delivered = busy_until_ + p_.latency + extra_latency_;
-  if (delivery_shard_ == sim::DelayAwaiter::kInheritShard) {
-    co_await sim_.delay(delivered - arrival);
-  } else {
-    // Cross-shard handoff: the arrival fires in the receiver's shard, so
-    // the continuation (receiver-side processing) schedules there too.
-    co_await sim_.delay_on(delivery_shard_, delivered - arrival);
-  }
+  co_await sim_.delay(delivered - arrival);
 }
 
 double Link::utilization() const {

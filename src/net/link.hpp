@@ -65,16 +65,6 @@ class Link {
   /// the far end. If `shaper` is non-null, bytes first conform to it.
   sim::Task<void> transmit(std::uint64_t bytes, TokenBucket* shaper = nullptr);
 
-  /// File every delivery event (the wake-up at arrival time) into `shard` —
-  /// the receiving host's calendar shard. The conservative link-boundary
-  /// handoff of the sharded scheduler: everything the receiver does after
-  /// delivery inherits its own shard. Default (kInheritShard) keeps the
-  /// delivery in the sender's current shard.
-  void set_delivery_shard(std::uint32_t shard) noexcept {
-    delivery_shard_ = shard;
-  }
-  std::uint32_t delivery_shard() const noexcept { return delivery_shard_; }
-
   // ---- Failure injection ----
   /// Declare the link down for `d` starting now. Transmissions submitted (or
   /// queued) during the outage are NOT lost — the transport retransmits, so
@@ -153,7 +143,6 @@ class Link {
  private:
   sim::Simulator& sim_;
   LinkParams p_;
-  std::uint32_t delivery_shard_ = sim::DelayAwaiter::kInheritShard;
   sim::TimePoint busy_until_{};
   sim::TimePoint down_from_ = sim::TimePoint::max();  ///< outage window start
   sim::TimePoint down_until_{};                       ///< outage window end

@@ -101,6 +101,7 @@ void Rollup::sample_now() {
   s.retries = retries_;
   s.deferrals = deferrals_;
   s.pending_events = sim_.pending_count();
+  s.calendar_queued = sim_.calendar_queued();
   s.events_processed = sim_.events_processed();
   s.ff_settles = sim_.ff_settles();
 
@@ -139,14 +140,6 @@ void Rollup::sample_now() {
       top_k_by([](const HostCell& c) { return c.bytes_out + c.bytes_in; });
   s.hot_slo = top_k_by(
       [](const HostCell& c) { return static_cast<std::uint64_t>(c.slo_miss); });
-
-  s.shards.resize(sim_.shard_count());
-  for (std::uint32_t i = 0; i < sim_.shard_count(); ++i) {
-    ShardRow& row = s.shards[i];
-    row.live = sim_.shard_live(i);
-    row.queued = sim_.shard_queued(i);
-    row.head_lag_ns = sim_.shard_head_lag_ns(i);
-  }
 
   snaps_.push_back(std::move(s));
 }
@@ -190,7 +183,7 @@ void row_i(std::ostream& out, const char* stamp, const std::string& metric,
 
 }  // namespace
 
-void Rollup::write_csv(std::ostream& out, bool include_shards) const {
+void Rollup::write_csv(std::ostream& out) const {
   out << "t_seconds,metric,value\n";
   char stamp[32];
   for (const Snapshot& s : snaps_) {
@@ -238,21 +231,18 @@ void Rollup::write_csv(std::ostream& out, bool include_shards) const {
         row_u(out, stamp, p + "." + t.metric, h.value);
       }
     }
-    if (include_shards) {
-      for (std::size_t i = 0; i < s.shards.size(); ++i) {
-        const ShardRow& sh = s.shards[i];
-        const std::string p = "shard" + std::to_string(i);
-        row_u(out, stamp, p + ".live", sh.live);
-        row_u(out, stamp, p + ".queued", sh.queued);
-        row_i(out, stamp, p + ".head_lag_ns", sh.head_lag_ns);
-      }
-    }
+    // The calendar's rows keep the names they had when the simulator could
+    // split its calendar into shards: live timers, agenda + ring entries,
+    // and a head lag that one calendar always reported as 0.
+    row_u(out, stamp, "shard0.live", s.pending_events);
+    row_u(out, stamp, "shard0.queued", s.calendar_queued);
+    row_i(out, stamp, "shard0.head_lag_ns", 0);
   }
 }
 
-std::string Rollup::to_csv(bool include_shards) const {
+std::string Rollup::to_csv() const {
   std::ostringstream os;
-  write_csv(os, include_shards);
+  write_csv(os);
   return os.str();
 }
 

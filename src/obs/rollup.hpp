@@ -45,16 +45,12 @@ struct RollupJobClose {
 /// stable testbed index, never by materialization order); `sample_now`
 /// folds the cells upward into one bounded snapshot — fleet totals, active
 /// racks, top-K hot hosts by dirty churn / migration bytes / SLO burn, and
-/// per-shard scheduler occupancy — so a 100k-VM run exports
-/// O(racks + top_k + shards) series per sample instead of per-entity
-/// cardinality.
+/// the simulator's calendar occupancy — so a 100k-VM run exports
+/// O(racks + top_k) series per sample instead of per-entity cardinality.
 ///
-/// Determinism contract (pinned by tests/scale_test.cpp):
-///   - the full export is byte-identical across replays of one configuration;
-///   - everything except the `shard<i>.*` rows is additionally byte-identical
-///     across shard counts and across lazy/eager materialization (per-shard
-///     occupancy is a property of the shard layout, not of the workload, so
-///     `write_csv(out, /*include_shards=*/false)` is the invariant view).
+/// Determinism contract (pinned by tests/scale_test.cpp): the export is
+/// byte-identical across replays of one configuration and across
+/// lazy/eager materialization.
 ///
 /// Zero-overhead when off: holders keep a `Rollup*` that is null when fleet
 /// telemetry is disabled — every feed site is one branch, and no rollup
@@ -102,11 +98,9 @@ class Rollup {
 
   /// Long-format CSV ("t_seconds,metric,value"), one bounded row group per
   /// snapshot, integers printed exactly (no float rounding, so downstream
-  /// reconciliation against the flight record is exact). `include_shards`
-  /// appends the `shard<i>.*` scheduler rows — replay-stable, but excluded
-  /// from the cross-shard-count byte-identity contract by construction.
-  void write_csv(std::ostream& out, bool include_shards = true) const;
-  std::string to_csv(bool include_shards = true) const;
+  /// reconciliation against the flight record is exact).
+  void write_csv(std::ostream& out) const;
+  std::string to_csv() const;
 
  private:
   /// Per-host accumulator cell, indexed by fleet host index.
@@ -135,11 +129,6 @@ class Rollup {
     std::uint32_t host = 0;
     std::uint64_t value = 0;
   };
-  struct ShardRow {
-    std::uint64_t live = 0;      ///< armed timers filed into the shard
-    std::uint64_t queued = 0;    ///< agenda + ring entries (incl. stale)
-    std::int64_t head_lag_ns = 0;
-  };
   struct Snapshot {
     std::int64_t t_ns = 0;
     std::uint64_t submitted = 0;
@@ -153,13 +142,13 @@ class Rollup {
     std::int64_t downtime_ns_total = 0;
     std::uint64_t dirty_blocks_total = 0;
     std::uint64_t pending_events = 0;
+    std::uint64_t calendar_queued = 0;  ///< Simulator::calendar_queued()
     std::uint64_t events_processed = 0;
     std::uint64_t ff_settles = 0;
     std::vector<RackRow> racks;  ///< active racks only, ascending id
     std::vector<HotRow> hot_dirty;
     std::vector<HotRow> hot_bytes;
     std::vector<HotRow> hot_slo;
-    std::vector<ShardRow> shards;
   };
 
   HostCell* cell(const void* host);

@@ -9,28 +9,10 @@
 
 namespace vmig::scenario {
 
-namespace {
-
-std::uint32_t auto_shards(int hosts) {
-  if (hosts < 256) return 1;
-  const int s = hosts / 64;
-  return static_cast<std::uint32_t>(std::clamp(s, 2, 64));
-}
-
-}  // namespace
-
 ClusterTestbed::ClusterTestbed(sim::Simulator& sim, ClusterTestbedConfig cfg)
     : sim_{sim}, cfg_{cfg}, manager_{sim} {
   if (cfg_.hosts < 2) {
     throw std::invalid_argument{"cluster testbed needs at least 2 hosts"};
-  }
-  const std::uint32_t want =
-      cfg_.shards > 0 ? static_cast<std::uint32_t>(cfg_.shards)
-                      : auto_shards(cfg_.hosts);
-  // Reconfiguring requires an empty calendar; a testbed constructed into a
-  // sim that is already mid-flight keeps whatever sharding it has.
-  if (want != sim_.shard_count() && sim_.pending_count() == 0) {
-    sim_.configure_shards(want);
   }
   host_slots_.resize(static_cast<std::size_t>(cfg_.hosts));
   vms_per_host_.assign(static_cast<std::size_t>(cfg_.hosts), 0);
@@ -44,10 +26,6 @@ ClusterTestbed::ClusterTestbed(sim::Simulator& sim, ClusterTestbedConfig cfg)
   }
 }
 
-std::uint32_t ClusterTestbed::shard_of(std::size_t host_index) const {
-  return static_cast<std::uint32_t>(host_index % sim_.shard_count());
-}
-
 hv::Host& ClusterTestbed::materialize_host(std::size_t i) {
   auto& slot = host_slots_.at(i);
   if (slot != nullptr) return *slot;
@@ -55,7 +33,6 @@ hv::Host& ClusterTestbed::materialize_host(std::size_t i) {
       sim_, "host" + std::to_string(i),
       storage::Geometry::from_mib(cfg_.vbd_mib), cfg_.disk, cfg_.payloads);
   hv::Host* hp = slot.get();
-  hp->set_shard(shard_of(i));
   // Every materialized testbed host is connected to every other: admission
   // is membership in the reverse index, so the semantic mesh is full while
   // only the links actually traversed are materialized.

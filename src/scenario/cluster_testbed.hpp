@@ -38,12 +38,6 @@ struct ClusterTestbedConfig {
   /// hosts / 100k VMs. `false` restores the eager pre-scale behavior
   /// (everything built in the constructor).
   bool lazy = true;
-  /// Calendar shards for the simulator: 0 = auto (1 below 256 hosts, then
-  /// hosts/64 clamped to [2, 64]); 1 = single calendar; N = exactly N.
-  /// Auto-configuration is skipped when the simulator already has pending
-  /// events. Sharding never changes results — the (time, seq) fire order is
-  /// byte-identical for any shard count (see docs/SCALE.md).
-  int shards = 0;
 };
 
 /// Hosts ("host0".."hostN-1") fully interconnected with the configured LAN
@@ -141,7 +135,6 @@ class ClusterTestbed {
   hv::Host& materialize_host(std::size_t i);
   vm::Domain& materialize_vm(std::size_t i);
   void prefill_domain(hv::Host& h, vm::Domain& d);
-  std::uint32_t shard_of(std::size_t host_index) const;
 
   sim::Simulator& sim_;
   ClusterTestbedConfig cfg_;

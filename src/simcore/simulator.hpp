@@ -72,16 +72,12 @@ class SpawnHandle {
 /// Awaitable returned by `Simulator::delay`.
 ///
 /// Cancels its timer if the awaiting coroutine frame is destroyed before the
-/// timer fires, so tearing down a simulation mid-flight is safe. When built
-/// by `Simulator::delay_on`, the timer is filed into an explicit shard so
-/// the awaiting coroutine resumes in that shard's context (the link-boundary
-/// handoff of the sharded scheduler — see docs/SCALE.md).
+/// timer fires, so tearing down a simulation mid-flight is safe. `timer_` is
+/// nonzero exactly while the timer is armed and has not fired (a TimerId is
+/// never 0; the handler zeroes it before resuming).
 class DelayAwaiter {
  public:
-  static constexpr std::uint32_t kInheritShard = 0xffffffffu;
-
-  DelayAwaiter(Simulator& sim, Duration d, std::uint32_t shard = kInheritShard)
-      : sim_{sim}, d_{d}, shard_{shard} {}
+  DelayAwaiter(Simulator& sim, Duration d) : sim_{sim}, d_{d} {}
   DelayAwaiter(const DelayAwaiter&) = delete;
   DelayAwaiter& operator=(const DelayAwaiter&) = delete;
   ~DelayAwaiter();
@@ -93,10 +89,7 @@ class DelayAwaiter {
  private:
   Simulator& sim_;
   Duration d_;
-  std::uint32_t shard_;
   std::uint64_t timer_ = 0;
-  bool scheduled_ = false;
-  bool fired_ = false;
 };
 
 /// Deterministic single-threaded discrete-event simulator.
@@ -105,37 +98,23 @@ class DelayAwaiter {
 /// reproducible. Timers are cancellable; coroutine tasks are spawned as
 /// "root" processes whose frames the simulator owns until completion.
 ///
-/// The pending-event set is one or more bucketed *calendar queues* (Brown
-/// '88) rather than a binary heap: time is divided into fixed-width buckets
+/// The pending-event set is one bucketed *calendar queue* (Brown '88)
+/// rather than a binary heap: time is divided into fixed-width buckets
 /// arranged in a ring of "days"; events beyond one ring revolution (a
 /// "year") wait in an overflow list. Insert is O(1) amortized (append to a
 /// day bucket), extract is pop-from-sorted-agenda; only the current day's
-/// handful of events is ever sorted, and a per-shard occupancy bitmap lets
-/// the refill skip empty days 64 at a time, so millisecond-spaced events
-/// cost a few word probes each rather than one probe per empty day.
+/// handful of events is ever sorted, and an occupancy bitmap lets the
+/// refill skip empty days 64 at a time, so millisecond-spaced events cost a
+/// few word probes each rather than one probe per empty day.
 /// Cancellation is lazy — a generation-checked slot arena marks the timer
 /// dead and the queue entry is dropped when encountered — so cancel is O(1)
-/// and never rummages through buckets. All steady-state structures (slot arena, day buckets, agenda,
-/// overflow) recycle their storage, so schedule/fire/cancel cycles allocate
-/// nothing once warm.
-///
-/// ## Sharded scheduling (datacenter scale)
-///
-/// `configure_shards(n)` splits the calendar into n independent shards
-/// (per-host or per-rack at cluster scale). Each timer is filed into the
-/// *current shard* — the shard of the event being dispatched, inherited by
-/// everything it schedules — or an explicit shard via `ShardScope` /
-/// `spawn_on` / `delay_on`. A lazy min-heap over per-shard head keys picks
-/// the global minimum; conservative synchronization at link boundaries is
-/// just `delay_on(peer_shard, latency)`. The exact (time, seq) tie-break
-/// contract is preserved for ANY shard assignment: `next_seq_` is global, so
-/// the fired sequence is byte-identical whether the run uses 1 shard or 64.
-/// See docs/SCALE.md for the head-key invariant and proof sketch, and
+/// and never rummages through buckets. All steady-state structures (slot
+/// arena, day buckets, agenda, overflow) recycle their storage, so
+/// schedule/fire/cancel cycles allocate nothing once warm. See
 /// docs/DETERMINISM.md for the (time, seq) ordering argument.
 class Simulator {
  public:
   using TimerId = std::uint64_t;
-  static constexpr std::uint32_t kMaxShards = 1024;
 
   Simulator();
   Simulator(const Simulator&) = delete;
@@ -145,7 +124,6 @@ class Simulator {
   TimePoint now() const noexcept { return now_; }
 
   /// Schedule `fn` at absolute time `t` (clamped to now if in the past).
-  /// Filed into the current shard.
   TimerId schedule_at(TimePoint t, std::function<void()> fn);
   /// Schedule `fn` after `d` (clamped to zero if negative).
   TimerId schedule_after(Duration d, std::function<void()> fn);
@@ -168,6 +146,12 @@ class Simulator {
   /// the agenda refill inspected. Deterministic, and it grows with the
   /// events fired, not with the simulated idle time between them.
   std::uint64_t calendar_probes() const noexcept { return calendar_probes_; }
+  /// Calendar occupancy: current-day agenda entries plus entries resident
+  /// in ring buckets. Both may include lazily-cancelled stale entries;
+  /// overflow-list entries are not counted. Exact and replay-stable.
+  std::size_t calendar_queued() const noexcept {
+    return agenda_.size() + ring_count_;
+  }
   /// Coroutine frames allocated on this thread since the simulator was
   /// constructed. Deterministic, and exact for the usual one simulator per
   /// thread; a second live simulator's frames would count here too.
@@ -190,49 +174,10 @@ class Simulator {
   /// Launch a coroutine as a root process. The simulator owns the frame;
   /// uncaught exceptions are rethrown from run()/step().
   SpawnHandle spawn(Task<void> task, std::string name = {});
-  /// Same, but the task's timers are filed into `shard` (its body runs with
-  /// the current shard set to `shard` up to its first suspension, and every
-  /// resumption inherits the shard of the timer that fired it).
-  SpawnHandle spawn_on(std::uint32_t shard, Task<void> task, std::string name = {});
 
   /// Awaitable pause of simulated time. `delay(Duration::zero())` yields
   /// through the event queue (other ready events run first).
   [[nodiscard]] DelayAwaiter delay(Duration d) { return DelayAwaiter{*this, d}; }
-  /// Awaitable pause whose wake-up timer is filed into `shard`: the
-  /// conservative cross-shard handoff (a link files the delivery event into
-  /// the receiving host's shard).
-  [[nodiscard]] DelayAwaiter delay_on(std::uint32_t shard, Duration d) {
-    return DelayAwaiter{*this, d, shard};
-  }
-
-  // ---- Sharding ----
-
-  /// Split the calendar into `n` shards (clamped to [1, kMaxShards]).
-  /// Only legal while no events are pending; throws std::logic_error
-  /// otherwise. n == 1 restores the classic single-calendar fast path.
-  void configure_shards(std::uint32_t n);
-  std::uint32_t shard_count() const noexcept {
-    return static_cast<std::uint32_t>(shards_.size());
-  }
-  /// Shard new timers are filed into: the shard of the event being
-  /// dispatched (0 at top level, between events, and out of range clamps).
-  std::uint32_t current_shard() const noexcept { return current_shard_; }
-
-  /// RAII current-shard override for a scheduling scope.
-  class ShardScope {
-   public:
-    ShardScope(Simulator& sim, std::uint32_t shard)
-        : sim_{sim}, prev_{sim.current_shard_} {
-      sim_.current_shard_ = shard < sim.shard_count() ? shard : 0;
-    }
-    ShardScope(const ShardScope&) = delete;
-    ShardScope& operator=(const ShardScope&) = delete;
-    ~ShardScope() { sim_.current_shard_ = prev_; }
-
-   private:
-    Simulator& sim_;
-    std::uint32_t prev_;
-  };
 
   // ---- Fast-forward mode ----
 
@@ -244,37 +189,6 @@ class Simulator {
   /// is what makes the A/B byte-identity pin (docs/SCALE.md) meaningful.
   void set_fast_forward(bool on) noexcept { fast_forward_ = on; }
   bool fast_forward() const noexcept { return fast_forward_; }
-
-  // ---- Per-shard telemetry (fleet rollup / vmig_top) ----
-  //
-  // Read-only occupancy probes over the calendar shards. Values are exact
-  // at the instant of the call and replay-stable, but they describe the
-  // shard *layout* — two runs with different shard counts report different
-  // per-shard rows even though their fired event sequence is byte-identical
-  // (which is why the fleet rollup exports them outside its cross-shard
-  // byte-identity contract; see obs::Rollup).
-
-  /// Armed timers currently filed into shard `i`.
-  std::size_t shard_live(std::uint32_t i) const noexcept {
-    return i < shards_.size() ? shards_[i].live : 0;
-  }
-  /// Calendar occupancy of shard `i`: current-day agenda entries plus
-  /// entries resident in ring buckets (both may include lazily-cancelled
-  /// stale entries; overflow-list entries count toward shard_live only).
-  std::size_t shard_queued(std::uint32_t i) const noexcept {
-    return i < shards_.size() ? shards_[i].agenda.size() + shards_[i].ring_count
-                              : 0;
-  }
-  /// How far ahead of `now` shard `i`'s registered head key sits (its next
-  /// candidate dispatch), or 0 when the shard is empty / unregistered. A
-  /// persistent large lag marks a shard whose work sits far in the future.
-  std::int64_t shard_head_lag_ns(std::uint32_t i) const noexcept {
-    if (i >= shards_.size()) return 0;
-    const Shard& sh = shards_[i];
-    if (!sh.key_registered || sh.live == 0) return 0;
-    const std::int64_t lag = sh.key_t - now_.ns();
-    return lag > 0 ? lag : 0;
-  }
 
   /// Fast-forward bulk-settle accounting: workload models that fold dormant
   /// stretches into closed-form advancement (workloads::SteadyWriter) note
@@ -304,13 +218,10 @@ class Simulator {
 
   /// One armed (or recycled) timer. `gen` distinguishes a live timer from a
   /// stale queue entry pointing at a recycled slot; it is never 0 so a
-  /// TimerId is never 0 (callers use 0 as "no timer"). `shard` records the
-  /// calendar the entry was filed into, so cancel can fix that shard's
-  /// accounting without searching.
+  /// TimerId is never 0 (callers use 0 as "no timer").
   struct TimerSlot {
     std::function<void()> fn;
     std::uint32_t gen = 1;
-    std::uint32_t shard = 0;
     bool armed = false;
   };
 
@@ -338,45 +249,6 @@ class Simulator {
     }
   };
 
-  /// One calendar queue. In single-shard mode shards_[0] is exactly the
-  /// pre-sharding structure; the slot and node arenas stay shared across
-  /// shards so arena warmup is global.
-  struct Shard {
-    std::vector<Entry> agenda;                 ///< current-day events, sorted desc
-    std::vector<std::uint32_t> bucket_head;    ///< ring of future days (chains)
-    /// One bit per ring bucket holding a chain, so refill_agenda jumps
-    /// straight to the next non-empty day instead of walking empty ones.
-    std::array<std::uint64_t, kOccupancyWords> occupied{};
-    std::uint32_t overflow_head = kNil;        ///< events >= one year out
-    std::uint64_t epoch_bucket = 0;            ///< day the agenda was drawn from
-    std::size_t ring_count = 0;                ///< entries resident in buckets
-    std::size_t live = 0;                      ///< armed timers in this shard
-    // Head-key registration (multi-shard only). Exactly one *valid* key per
-    // shard is in the heads_ heap, identified by key_epoch; superseded keys
-    // are discarded on pop. Invariant: while the shard has live entries, its
-    // valid key is <= the shard's true head in (t, seq) order, so the heap
-    // top is always a lower bound on the global minimum. See docs/SCALE.md.
-    std::int64_t key_t = 0;
-    std::uint64_t key_seq = 0;
-    std::uint64_t key_epoch = 0;
-    bool key_registered = false;
-  };
-
-  /// Lazy per-shard head key in the global selection heap (min-heap on
-  /// (t, seq)). `epoch` invalidates superseded keys without a decrease-key.
-  struct HeapKey {
-    std::int64_t t_ns;
-    std::uint64_t seq;
-    std::uint64_t epoch;
-    std::uint32_t shard;
-  };
-  struct HeapCmp {  // std::push_heap builds a max-heap; invert for min
-    bool operator()(const HeapKey& a, const HeapKey& b) const {
-      if (a.t_ns != b.t_ns) return a.t_ns > b.t_ns;
-      return a.seq > b.seq;
-    }
-  };
-
   struct RootTask {
     Task<void> wrapper;
     std::shared_ptr<detail::JoinState> state;
@@ -393,49 +265,45 @@ class Simulator {
     const TimerSlot& s = slots_[e.slot];
     return s.gen == e.gen && s.armed;
   }
-  void place(Shard& sh, const Entry& e);
+  void place(const Entry& e);
   /// Re-file an existing pooled node after an epoch move (agenda inserts
   /// free the node; bucket/overflow placements re-link it).
-  void place_node(Shard& sh, std::uint32_t n);
+  void place_node(std::uint32_t n);
   /// Chain node `n` onto ring bucket `b` and mark the bucket occupied.
-  void push_bucket(Shard& sh, std::uint32_t n, std::uint64_t b);
+  void push_bucket(std::uint32_t n, std::uint64_t b);
   /// First occupied ring slot in [from, kBuckets), or kBuckets if none.
-  std::uint64_t next_occupied(const Shard& sh, std::uint64_t from);
+  std::uint64_t next_occupied(std::uint64_t from);
   std::uint32_t alloc_node(const Entry& e);
   void release_slot(std::uint32_t slot);
-  /// Earliest live entry (always sh.agenda.back() after this), or nullptr.
-  const Entry* peek_live(Shard& sh);
-  /// Refill the agenda from the ring / overflow; pre: agenda empty, live > 0.
-  void refill_agenda(Shard& sh);
+  /// Earliest live entry (always agenda_.back() after this), or nullptr.
+  const Entry* peek_live();
+  /// Refill the agenda from the ring / overflow; pre: agenda empty, a timer
+  /// is armed.
+  void refill_agenda();
   /// Move overflow entries that now fall inside the ring year into place.
-  void sweep_overflow(Shard& sh);
-  /// Register shard `si`'s head key (t, seq) in the selection heap,
-  /// superseding any previous key for that shard.
-  void register_key(std::uint32_t si, std::int64_t t_ns, std::uint64_t seq);
-  /// Lower the shard's registered bound if the new entry undercuts it.
-  void note_insert(std::uint32_t si, const Entry& e);
-  /// Validated global-minimum entry across all shards (and its shard), or
-  /// nullptr. Postcondition on success: the entry is shards_[*si].agenda
-  /// .back() and the heap top is its (now spent) key.
-  const Entry* peek_global(std::uint32_t* si);
+  void sweep_overflow();
   /// Fire the earliest pending event if its time is <= limit_ns.
   bool step_until(std::int64_t limit_ns);
 
   TimePoint now_{};
   std::uint64_t next_seq_ = 0;
-  std::uint32_t current_shard_ = 0;
   bool fast_forward_ = false;
 
-  // -- calendar queue state (arenas shared across shards) --
+  // -- calendar queue state --
   std::vector<TimerSlot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<Node> nodes_;                   ///< shared chain-node arena
-  std::vector<std::uint32_t> free_nodes_;     ///< recycled node indices
-  std::vector<Shard> shards_;                 ///< >= 1; [0] is the default
-  std::vector<HeapKey> heads_;                ///< lazy per-shard head keys
-  std::uint64_t key_epoch_counter_ = 0;
-  std::size_t live_count_ = 0;                ///< armed timers, all shards
-  std::size_t observer_ticks_ = 0;            ///< armed parkable sampler ticks
+  std::vector<Node> nodes_;                 ///< chain-node arena
+  std::vector<std::uint32_t> free_nodes_;   ///< recycled node indices
+  std::vector<Entry> agenda_;               ///< current-day events, sorted desc
+  std::vector<std::uint32_t> bucket_head_;  ///< ring of future days (chains)
+  /// One bit per ring bucket holding a chain, so refill_agenda jumps
+  /// straight to the next non-empty day instead of walking empty ones.
+  std::array<std::uint64_t, kOccupancyWords> occupied_{};
+  std::uint32_t overflow_head_ = kNil;      ///< events >= one year out
+  std::uint64_t epoch_bucket_ = 0;          ///< day the agenda was drawn from
+  std::size_t ring_count_ = 0;              ///< entries resident in buckets
+  std::size_t live_count_ = 0;              ///< armed timers
+  std::size_t observer_ticks_ = 0;          ///< armed parkable sampler ticks
 
   std::vector<RootTask> roots_;
   std::exception_ptr pending_error_;
@@ -443,7 +311,6 @@ class Simulator {
   std::uint64_t calendar_probes_ = 0;
   std::uint64_t frames_base_ = detail::FrameArena::allocations();
   std::uint64_t ff_settles_ = 0;
-  bool tearing_down_ = false;
   bool debug_trace_ = false;
 };
 

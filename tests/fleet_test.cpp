@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -71,7 +72,7 @@ TEST(RollupTest, FoldsJobsIntoFleetRackAndHotRows) {
                    .downtime_ns = 95,
                    .dirty_blocks = 70});
   ru.sample_now();
-  const std::string csv = ru.to_csv(/*include_shards=*/false);
+  const std::string csv = ru.to_csv();
 
   EXPECT_EQ(csv.find("t_seconds,metric,value\n"), 0u);
   // Fleet totals: exact integers, pending = submitted - terminal - running.
@@ -101,10 +102,73 @@ TEST(RollupTest, FoldsJobsIntoFleetRackAndHotRows) {
   // SLO burn table only lists hosts that actually burned.
   EXPECT_NE(csv.find(",hot_slo1.host,1\n"), std::string::npos);
   EXPECT_EQ(csv.find(",hot_slo2."), std::string::npos);
-  // The invariant view carries no shard rows.
-  EXPECT_EQ(csv.find("shard"), std::string::npos);
-  // The full view does.
-  EXPECT_NE(ru.to_csv(true).find(",shard0.live,"), std::string::npos);
+  // The calendar rows close the snapshot (nothing was scheduled).
+  EXPECT_NE(csv.find(",hot_slo1.miss,1\n0.000000,shard0.live,0\n"
+                     "0.000000,shard0.queued,0\n"
+                     "0.000000,shard0.head_lag_ns,0\n"),
+            std::string::npos);
+}
+
+/// One snapshot's rows of a rollup CSV, metric -> value.
+using SnapshotRows = std::map<std::string, std::string>;
+
+/// Split a rollup export into snapshots; each starts at its
+/// fleet.jobs_submitted row.
+std::vector<SnapshotRows> snapshots_of(const std::string& csv) {
+  std::vector<SnapshotRows> out;
+  std::istringstream in{csv};
+  std::string line;
+  std::getline(in, line);  // header
+  while (std::getline(in, line)) {
+    const std::size_t a = line.find(',');
+    const std::size_t b = line.find(',', a + 1);
+    const std::string metric = line.substr(a + 1, b - a - 1);
+    if (metric == "fleet.jobs_submitted") out.emplace_back();
+    out.back()[metric] = line.substr(b + 1);
+  }
+  return out;
+}
+
+// The simulator has one calendar; its rows keep the names they had when
+// the calendar could be split in shards, so recorded exports stay valid.
+TEST(RollupTest, CalendarRowsReportTheSingleCalendarAtEverySample) {
+  sim::Simulator sim;
+  obs::Rollup rollup{sim, obs::RollupConfig{.hosts = 4}};
+  // Timers the calendar files three ways: due today (the agenda), within a
+  // ring year, and beyond it (overflow, not queued); some cancelled, whose
+  // entries stay queued until the calendar reaches them.
+  std::vector<sim::Simulator::TimerId> ids;
+  for (int i = 0; i < 40; ++i) {
+    ids.push_back(sim.schedule_after(sim::Duration::micros(37 * i * i), [] {}));
+  }
+  for (int i = 0; i < 4; ++i) {
+    sim.schedule_after(sim::Duration::seconds(1 + i), [] {});
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 3) sim.cancel(ids[i]);
+
+  std::vector<std::uint64_t> pending;
+  std::vector<std::uint64_t> queued;
+  const auto sample = [&] {
+    rollup.sample_now();
+    pending.push_back(sim.pending_count());
+    queued.push_back(sim.calendar_queued());
+  };
+  sample();
+  while (sim.step()) sample();
+
+  const std::vector<SnapshotRows> snaps = snapshots_of(rollup.to_csv());
+  ASSERT_EQ(snaps.size(), pending.size());
+  bool queued_differs = false;
+  for (std::size_t k = 0; k < snaps.size(); ++k) {
+    const SnapshotRows& row = snaps[k];
+    EXPECT_EQ(row.at("shard0.live"), row.at("sched.pending_events")) << k;
+    EXPECT_EQ(row.at("shard0.live"), std::to_string(pending[k])) << k;
+    EXPECT_EQ(row.at("shard0.queued"), std::to_string(queued[k])) << k;
+    EXPECT_EQ(row.at("shard0.head_lag_ns"), "0") << k;
+    queued_differs = queued_differs || queued[k] != pending[k];
+  }
+  // The rows must not be interchangeable for the test to mean anything.
+  EXPECT_TRUE(queued_differs);
 }
 
 TEST(RollupTest, HotTablesStayBoundedAndBreakTiesByHostIndex) {
@@ -120,7 +184,7 @@ TEST(RollupTest, HotTablesStayBoundedAndBreakTiesByHostIndex) {
   ru.job_terminal(&f.ids[3], &f.ids[0],
                   {.completed = true, .bytes = 1, .dirty_blocks = 8});
   ru.sample_now();
-  const std::string csv = ru.to_csv(false);
+  const std::string csv = ru.to_csv();
   EXPECT_NE(csv.find(",hot_dirty1.host,1\n"), std::string::npos);
   EXPECT_NE(csv.find(",hot_dirty2.host,8\n"), std::string::npos);
   EXPECT_EQ(csv.find(",hot_dirty3."), std::string::npos);
@@ -132,14 +196,14 @@ TEST(RollupTest, InFlightTracksRunningAttemptsPerRack) {
   ru.job_submitted();
   ru.attempt_started(&f.ids[0], &f.ids[2]);
   ru.sample_now();
-  std::string csv = ru.to_csv(false);
+  std::string csv = ru.to_csv();
   EXPECT_NE(csv.find(",fleet.jobs_running,1\n"), std::string::npos);
   EXPECT_NE(csv.find(",rack0.in_flight,1\n"), std::string::npos);
   EXPECT_NE(csv.find(",rack1.in_flight,1\n"), std::string::npos);
 
   ru.attempt_finished(&f.ids[0], &f.ids[2]);
   ru.sample_now();
-  csv = ru.to_csv(false);
+  csv = ru.to_csv();
   // The second snapshot's rack rows are back to balance (no rack row at
   // all: nothing else touched those cells, so the racks fold to zero and
   // drop out of the export).
@@ -318,7 +382,7 @@ TEST(VmigTopTest, RendersFleetRacksHotAndShardSections) {
                          .downtime_ns = 12,
                          .dirty_blocks = 9});
   f.rollup.sample_now();
-  const TopResult r = render(f.rollup.to_csv(true));
+  const TopResult r = render(f.rollup.to_csv());
   EXPECT_EQ(r.status, 0) << r.err;
   EXPECT_NE(r.out.find("== fleet @ 0.000000s =="), std::string::npos);
   EXPECT_NE(r.out.find("jobs_submitted=1"), std::string::npos);
@@ -334,7 +398,7 @@ TEST(VmigTopTest, LastOnlyRendersTheFinalSnapshot) {
   f.rollup.sample_now();
   f.rollup.job_submitted();
   f.rollup.sample_now();  // same timestamp: the splitter must still see two
-  const std::string csv = f.rollup.to_csv(false);
+  const std::string csv = f.rollup.to_csv();
   const TopResult all = render(csv);
   EXPECT_NE(all.out.find("(2 snapshots)"), std::string::npos);
   EXPECT_NE(all.out.find("jobs_submitted=1"), std::string::npos);

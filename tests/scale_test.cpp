@@ -1,9 +1,8 @@
 // Datacenter-scale semantics: lazy instantiation of hosts/VMs/links in
 // ClusterTestbed, deterministic least-loaded destination picking, and the
-// two scale-mode A/B pins of docs/SCALE.md —
-//   * fast-forward ON vs OFF produces byte-identical MigrationReport JSON
-//     and flight records (including under an injected link fault), and
-//   * shard count never changes results (1 shard vs 8 shards, same bytes).
+// scale-mode A/B pin of docs/SCALE.md: fast-forward ON vs OFF produces
+// byte-identical MigrationReport JSON and flight records (including under
+// an injected link fault).
 
 #include <gtest/gtest.h>
 
@@ -158,8 +157,7 @@ struct ScaleRun {
   std::vector<std::string> outcomes;     // "<status>/<attempts>"
   std::vector<std::string> report_json;  // core::to_json per job, id order
   std::string flight_jsonl;
-  std::string fleet_csv_full;       // rollup export incl. shard<i>.* rows
-  std::string fleet_csv_noshards;   // the cross-shard-count invariant view
+  std::string fleet_csv;
   std::uint64_t retries = 0;
   std::uint64_t writer_ticks = 0;  // live ticks actually fired (diagnostic)
   std::uint64_t writer_settles = 0;
@@ -169,15 +167,14 @@ struct ScaleRun {
 
 /// One evacuation of `vms` steadily-writing guests out of host0 in an
 /// N-host lazy mesh, with every knob of the scale machinery parameterized.
-/// `with_rollup` attaches a fleet rollup (obs::Rollup) and captures both
-/// export views.
-ScaleRun run_scale(int hosts, int vms, bool fast_forward, int shards,
-                   bool lazy, bool inject_fault, bool with_rollup = false) {
+/// `with_rollup` attaches a fleet rollup (obs::Rollup) and captures its
+/// export.
+ScaleRun run_scale(int hosts, int vms, bool fast_forward, bool lazy,
+                   bool inject_fault, bool with_rollup = false) {
   sim::Simulator sim;
   sim.set_fast_forward(fast_forward);
   ClusterTestbedConfig bed = fast_cluster(hosts);
   bed.lazy = lazy;
-  bed.shards = shards;
   ClusterTestbed tb{sim, bed};
   for (int i = 0; i < vms; ++i) tb.add_vm("vm" + std::to_string(i), 0);
   // A cold fleet shapes placement but never materializes.
@@ -243,8 +240,7 @@ ScaleRun run_scale(int hosts, int vms, bool fast_forward, int shards,
   r.flight_jsonl = out.str();
   if (rollup != nullptr) {
     rollup->sample_now();  // terminal fleet state
-    r.fleet_csv_full = rollup->to_csv(/*include_shards=*/true);
-    r.fleet_csv_noshards = rollup->to_csv(/*include_shards=*/false);
+    r.fleet_csv = rollup->to_csv();
   }
   r.retries = orch.retries();
   for (const auto& w : writers) {
@@ -276,11 +272,9 @@ void expect_same_bytes(const ScaleRun& a, const ScaleRun& b) {
 
 TEST(FastForwardScaleTest, ByteIdenticalReportsAt256Hosts) {
   const ScaleRun ticked = run_scale(256, 16, /*fast_forward=*/false,
-                                    /*shards=*/0, /*lazy=*/true,
-                                    /*inject_fault=*/false);
+                                    /*lazy=*/true, /*inject_fault=*/false);
   const ScaleRun ff = run_scale(256, 16, /*fast_forward=*/true,
-                                /*shards=*/0, /*lazy=*/true,
-                                /*inject_fault=*/false);
+                                /*lazy=*/true, /*inject_fault=*/false);
   EXPECT_TRUE(ticked.all_ok);
   EXPECT_TRUE(ff.all_ok);
   // The mode did something: fast-forward folded ticks into bulk settles.
@@ -291,11 +285,9 @@ TEST(FastForwardScaleTest, ByteIdenticalReportsAt256Hosts) {
 
 TEST(FastForwardScaleTest, ByteIdenticalUnderChaosFault) {
   const ScaleRun ticked = run_scale(256, 16, /*fast_forward=*/false,
-                                    /*shards=*/0, /*lazy=*/true,
-                                    /*inject_fault=*/true);
+                                    /*lazy=*/true, /*inject_fault=*/true);
   const ScaleRun ff = run_scale(256, 16, /*fast_forward=*/true,
-                                /*shards=*/0, /*lazy=*/true,
-                                /*inject_fault=*/true);
+                                /*lazy=*/true, /*inject_fault=*/true);
   EXPECT_TRUE(ticked.all_ok);
   // The outage must actually bite for the pin to mean anything.
   EXPECT_GT(ticked.retries, 0u);
@@ -304,34 +296,17 @@ TEST(FastForwardScaleTest, ByteIdenticalUnderChaosFault) {
 
 TEST(FastForwardScaleTest, TickedModeReplaysItself) {
   // Control: the harness itself is deterministic run-to-run.
-  const ScaleRun a = run_scale(64, 8, false, 0, true, true);
-  const ScaleRun b = run_scale(64, 8, false, 0, true, true);
+  const ScaleRun a = run_scale(64, 8, false, true, true);
+  const ScaleRun b = run_scale(64, 8, false, true, true);
   expect_same_bytes(a, b);
-}
-
-// -------------------------------------------------------- shard invariance
-
-TEST(ShardScaleTest, OneShardVsEightShardsSameBytes) {
-  const ScaleRun one = run_scale(128, 8, /*fast_forward=*/true, /*shards=*/1,
-                                 /*lazy=*/true, /*inject_fault=*/false);
-  const ScaleRun eight = run_scale(128, 8, /*fast_forward=*/true, /*shards=*/8,
-                                   /*lazy=*/true, /*inject_fault=*/false);
-  EXPECT_TRUE(one.all_ok);
-  expect_same_bytes(one, eight);
-}
-
-TEST(ShardScaleTest, ShardedChaosRunSameBytes) {
-  const ScaleRun one = run_scale(128, 8, false, 1, true, true);
-  const ScaleRun eight = run_scale(128, 8, false, 8, true, true);
-  expect_same_bytes(one, eight);
 }
 
 // ----------------------------------------------------- lazy/eager identity
 
 TEST(LazyClusterTest, LazyAndEagerRunsAreByteIdentical) {
-  const ScaleRun lazy = run_scale(16, 8, /*fast_forward=*/true, /*shards=*/1,
+  const ScaleRun lazy = run_scale(16, 8, /*fast_forward=*/true,
                                   /*lazy=*/true, /*inject_fault=*/true);
-  const ScaleRun eager = run_scale(16, 8, /*fast_forward=*/true, /*shards=*/1,
+  const ScaleRun eager = run_scale(16, 8, /*fast_forward=*/true,
                                    /*lazy=*/false, /*inject_fault=*/true);
   EXPECT_TRUE(lazy.all_ok);
   expect_same_bytes(lazy, eager);
@@ -339,52 +314,24 @@ TEST(LazyClusterTest, LazyAndEagerRunsAreByteIdentical) {
 
 // ------------------------------------------------------- fleet rollup pins
 
-TEST(ShardScaleTest, RollupExportIsShardCountInvariant) {
-  const ScaleRun one = run_scale(128, 8, /*fast_forward=*/true, /*shards=*/1,
-                                 /*lazy=*/true, /*inject_fault=*/false,
-                                 /*with_rollup=*/true);
-  const ScaleRun eight = run_scale(128, 8, /*fast_forward=*/true, /*shards=*/8,
-                                   /*lazy=*/true, /*inject_fault=*/false,
-                                   /*with_rollup=*/true);
-  EXPECT_TRUE(one.all_ok);
-  ASSERT_FALSE(one.fleet_csv_noshards.empty());
-  // Everything but the shard<i>.* rows is byte-identical across shard
-  // counts; the full export differs only in those rows by construction.
-  EXPECT_EQ(one.fleet_csv_noshards, eight.fleet_csv_noshards);
-  EXPECT_NE(one.fleet_csv_full, eight.fleet_csv_full);
-  // Attaching the rollup perturbs nothing the existing pins cover.
-  expect_same_bytes(one, eight);
-}
-
-TEST(ShardScaleTest, RollupExportShardInvariantUnderChaosFault) {
-  const ScaleRun one = run_scale(128, 8, /*fast_forward=*/false, /*shards=*/1,
-                                 /*lazy=*/true, /*inject_fault=*/true,
-                                 /*with_rollup=*/true);
-  const ScaleRun eight = run_scale(128, 8, /*fast_forward=*/false,
-                                   /*shards=*/8, /*lazy=*/true,
-                                   /*inject_fault=*/true, /*with_rollup=*/true);
-  // The outage must bite — retries and SLO accounting flow into the rollup.
-  EXPECT_GT(one.retries, 0u);
-  EXPECT_EQ(one.fleet_csv_noshards, eight.fleet_csv_noshards);
-}
-
-TEST(ShardScaleTest, RollupReplaysByteIdentically) {
-  const ScaleRun a = run_scale(64, 8, true, 4, true, true, true);
-  const ScaleRun b = run_scale(64, 8, true, 4, true, true, true);
-  EXPECT_EQ(a.fleet_csv_full, b.fleet_csv_full);
+TEST(RollupScaleTest, RollupReplaysByteIdentically) {
+  const ScaleRun a = run_scale(64, 8, true, true, true, true);
+  const ScaleRun b = run_scale(64, 8, true, true, true, true);
+  ASSERT_FALSE(a.fleet_csv.empty());
+  EXPECT_EQ(a.fleet_csv, b.fleet_csv);
   expect_same_bytes(a, b);
 }
 
 TEST(LazyClusterTest, RollupExportLazyEagerIdentical) {
-  const ScaleRun lazy = run_scale(16, 8, /*fast_forward=*/true, /*shards=*/1,
+  const ScaleRun lazy = run_scale(16, 8, /*fast_forward=*/true,
                                   /*lazy=*/true, /*inject_fault=*/true,
                                   /*with_rollup=*/true);
-  const ScaleRun eager = run_scale(16, 8, /*fast_forward=*/true, /*shards=*/1,
+  const ScaleRun eager = run_scale(16, 8, /*fast_forward=*/true,
                                    /*lazy=*/false, /*inject_fault=*/true,
                                    /*with_rollup=*/true);
   // Eager registers every host cell up front, lazy on first touch — the
-  // untouched cells are zero either way, so even the full export matches.
-  EXPECT_EQ(lazy.fleet_csv_full, eager.fleet_csv_full);
+  // untouched cells are zero either way, so the exports match.
+  EXPECT_EQ(lazy.fleet_csv, eager.fleet_csv);
 }
 
 // -------------------------------------------- link series stay proportional

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <coroutine>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "simcore/rng.hpp"
 
 namespace vmig::sim {
 namespace {
@@ -385,6 +391,160 @@ TEST(SimulatorCalendarTest, PendingCountWithOverflow) {
   EXPECT_EQ(sim.pending_count(), 0u);
   EXPECT_FALSE(sim.has_pending());
 }
+
+TEST(SimulatorCalendarTest, CalendarQueuedCountsAgendaAndRingEntries) {
+  Simulator sim;
+  EXPECT_EQ(sim.calendar_queued(), 0u);
+  const auto near = sim.schedule_after(1_ms, [] {});
+  sim.schedule_after(2_ms, [] {});
+  sim.schedule_after(Duration::zero(), [] {});  // due today: the agenda
+  sim.schedule_after(10_s, [] {});              // beyond the year: overflow
+  EXPECT_EQ(sim.pending_count(), 4u);
+  EXPECT_EQ(sim.calendar_queued(), 3u);
+  // Cancellation is lazy: the entry stays queued until the calendar meets it.
+  sim.cancel(near);
+  EXPECT_EQ(sim.pending_count(), 3u);
+  EXPECT_EQ(sim.calendar_queued(), 3u);
+  sim.run_until(TimePoint::origin() + 5_ms);
+  EXPECT_EQ(sim.pending_count(), 1u);
+  // Looking for the next event drew the overflow timer into the agenda.
+  EXPECT_EQ(sim.calendar_queued(), 1u);
+  sim.run();
+  EXPECT_EQ(sim.calendar_queued(), 0u);
+}
+
+TEST(DelayAwaiterTest, DestroyedWhilePendingCancelsItsTimer) {
+  Simulator sim;
+  sim.set_debug_trace(true);
+  testing::internal::CaptureStderr();
+  {
+    DelayAwaiter wait = sim.delay(5_ms);
+    wait.await_suspend(std::noop_coroutine());
+    EXPECT_EQ(sim.pending_count(), 1u);
+  }
+  const std::string narration = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(sim.pending_count(), 0u);
+  EXPECT_NE(narration.find("sim: cancel"), std::string::npos);
+  EXPECT_EQ(sim.run(), 0u);
+}
+
+TEST(DelayAwaiterTest, DestroyedAfterFiringCancelsNothing) {
+  Simulator sim;
+  sim.set_debug_trace(true);
+  testing::internal::CaptureStderr();
+  {
+    DelayAwaiter wait = sim.delay(5_ms);
+    wait.await_suspend(std::noop_coroutine());
+    EXPECT_EQ(sim.run(), 1u);
+    EXPECT_EQ(sim.now(), TimePoint::origin() + 5_ms);
+  }
+  const std::string narration = testing::internal::GetCapturedStderr();
+  EXPECT_NE(narration.find("sim: fire"), std::string::npos);
+  EXPECT_EQ(narration.find("sim: cancel"), std::string::npos);
+}
+
+// ------------------------------------------------------------ ordering fuzz
+
+/// What one randomized schedule/cancel stream did: the fire order by timer
+/// id, plus the reference model — each id's due time and whether a cancel
+/// reached it while still armed. Ids are handed out in scheduling order, so
+/// id order is seq order.
+struct Stream {
+  std::vector<std::uint64_t> fired;
+  std::vector<std::int64_t> due_ns;
+  std::vector<bool> cancelled;
+  bool fired_on_time = true;
+};
+
+/// Replay one randomized schedule/cancel stream: seed events, each of whose
+/// handlers reschedules a few followers, mixing same-time ties, zero
+/// delays, millisecond gaps (the paper disk's service time and its
+/// multiples), overflow entries a few ring revolutions out, multi-year idle
+/// gaps, and lazy cancellations.
+Stream run_stream(std::uint64_t seed) {
+  Simulator sim;
+  Rng rng{seed};
+  Stream out;
+  std::vector<std::pair<Simulator::TimerId, std::uint64_t>> cancellable;
+
+  struct Ctx {
+    Simulator& sim;
+    Rng& rng;
+    Stream& out;
+    std::vector<std::pair<Simulator::TimerId, std::uint64_t>>& cancellable;
+    int budget = 400;
+  };
+  Ctx ctx{sim, rng, out, cancellable};
+
+  // std::function recursion through the scheduler.
+  struct Gen {
+    static Duration pick_delay(Rng& rng) {
+      const std::uint64_t pick = rng.uniform_u64(100);
+      if (pick < 15) return Duration::zero();
+      if (pick < 45) return Duration::micros(rng.uniform_u64(50));
+      if (pick < 65) return Duration::millis(rng.uniform_u64(20));
+      if (pick < 80) return Duration::millis(4 * (1 + rng.uniform_u64(4)));
+      if (pick < 93) return Duration::millis(100 + rng.uniform_u64(200));
+      return Duration::seconds(1 + rng.uniform_u64(4)) +
+             Duration::micros(rng.uniform_u64(1000));  // many years out
+    }
+
+    static void plant(Ctx& c, int fanout) {
+      for (int i = 0; i < fanout; ++i) {
+        if (c.budget <= 0) return;
+        --c.budget;
+        const std::uint64_t id = c.out.due_ns.size();
+        const Duration d = pick_delay(c.rng);
+        c.out.due_ns.push_back((c.sim.now() + d).ns());
+        c.out.cancelled.push_back(false);
+        const auto tid = c.sim.schedule_after(d, [&c, id] {
+          c.out.fired.push_back(id);
+          if (c.sim.now().ns() != c.out.due_ns[id]) c.out.fired_on_time = false;
+          if (c.rng.bernoulli(0.6)) {
+            plant(c, 1 + static_cast<int>(c.rng.uniform_u64(3)));
+          }
+          // Lazy cancellation: kill a random armed timer now and then.
+          if (!c.cancellable.empty() && c.rng.bernoulli(0.3)) {
+            const std::size_t k = c.rng.uniform_u64(c.cancellable.size());
+            if (c.sim.cancel(c.cancellable[k].first)) {
+              c.out.cancelled[c.cancellable[k].second] = true;
+            }
+            c.cancellable.erase(c.cancellable.begin() +
+                                static_cast<std::ptrdiff_t>(k));
+          }
+        });
+        if (c.rng.bernoulli(0.2)) c.cancellable.emplace_back(tid, id);
+      }
+    }
+  };
+  Gen::plant(ctx, 24);
+  sim.run();
+  return out;
+}
+
+class CalendarOrderFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// The reference order: every timer not cancelled fires exactly once, at
+/// its due time, in ascending (due time, seq) order.
+TEST_P(CalendarOrderFuzz, FiresInReferenceOrder) {
+  const Stream s = run_stream(GetParam());
+  ASSERT_FALSE(s.fired.empty());
+  EXPECT_TRUE(s.fired_on_time);
+  EXPECT_TRUE(std::find(s.cancelled.begin(), s.cancelled.end(), true) !=
+              s.cancelled.end());
+  std::vector<std::uint64_t> want;
+  for (std::uint64_t id = 0; id < s.due_ns.size(); ++id) {
+    if (!s.cancelled[id]) want.push_back(id);
+  }
+  std::stable_sort(want.begin(), want.end(),
+                   [&](std::uint64_t a, std::uint64_t b) {
+                     return s.due_ns[a] < s.due_ns[b];
+                   });
+  EXPECT_EQ(s.fired, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CalendarOrderFuzz,
+                         ::testing::Values(3, 17, 29, 101, 1234, 99999));
 
 TEST(SimulatorTest, DeterministicAcrossRuns) {
   auto trace = [] {

@@ -7,7 +7,7 @@ namespace vmig::top {
 
 /// vmig_top: live fleet view over a rollup CSV (`vmig_sim --fleet-metrics`,
 /// obs::Rollup::write_csv). Renders one fleet snapshot table per sample —
-/// totals, active racks, top-K hot hosts, per-shard scheduler occupancy —
+/// totals, active racks, top-K hot hosts, calendar occupancy (`shard*`) —
 /// from a file or a stream ("-" = stdin), so it works both post-hoc over an
 /// export and live over a pipe. The output is a pure function of the input
 /// bytes: rendering the same CSV twice is byte-identical (pinned by

@@ -6,7 +6,7 @@
 //   ... --fleet-metrics /dev/stdout | vmig_top -   # live from a pipe
 //
 // Renders one bounded table per rollup snapshot: fleet job/byte totals,
-// active racks, top-K hot hosts, and per-shard scheduler occupancy. The
+// active racks, top-K hot hosts, and calendar occupancy (`shard*` rows). The
 // output is a pure function of the input bytes (docs/OBSERVABILITY.md).
 // Exit status: 0 = rendered, 2 = bad input.
 

@@ -116,7 +116,6 @@ void usage(const char* argv0) {
       "  --roundtrip      migrate out, dwell, migrate back incrementally\n"
       "  --sparse         skip never-written blocks (guest-assisted, §VII)\n"
       "  --bitmap K       flat | layered | 3level          (default layered)\n"
-      "  --flat-bitmap    alias for --bitmap flat\n"
       "  --seed N         RNG seed                         (default 42)\n"
       "  --json           print the report as JSON instead of text\n"
       "  --progress       print migration phase transitions\n"
@@ -132,7 +131,7 @@ void usage(const char* argv0) {
       "                   deterministic per-migration sampling (terminal\n"
       "                   records and exact aggregates always kept)\n"
       "  --fleet-metrics FILE  write the fleet rollup (racks, hot hosts,\n"
-      "                   shard occupancy) as CSV; view with vmig_top and\n"
+      "                   calendar occupancy) as CSV; view with vmig_top and\n"
       "                   reconcile with vmig_analyze --fleet (cluster mode)\n"
       "  --cluster        evacuate host0 of an N-host cluster through the\n"
       "                   migration orchestrator (disk/mem sizes are per VM;\n"
@@ -235,8 +234,6 @@ bool parse(int argc, char** argv, Options& o) {
       o.sparse = true;
     } else if (a == "--bitmap") {
       o.bitmap = need("--bitmap");
-    } else if (a == "--flat-bitmap") {
-      o.bitmap = "flat";
     } else if (a == "--json") {
       o.json = true;
     } else if (a == "--progress") {

@@ -85,6 +85,7 @@ struct Row {
   std::uint64_t events = 0;   // simulator events processed (deterministic)
   std::uint64_t calendar_probes = 0;  // calendar extraction work (deterministic)
   std::uint64_t pages_materialized = 0;  // token pages made explicit (deterministic)
+  std::uint64_t payload_entries = 0;     // migration payload entries copied (deterministic)
   std::uint64_t jobs_visited = 0;  // scheduler job visits (deterministic)
   std::uint64_t frames = 0;  // coroutine frames created (deterministic)
   double events_per_sec = 0;  // events / wall-s (throughput, wall)
@@ -198,6 +199,7 @@ Row run_once(int hosts, const FleetOpts* obs,
   for (std::size_t i = 0; i < tb.host_count(); ++i) {
     if (tb.host_materialized(i)) {
       r.pages_materialized += tb.host(i).pages_materialized();
+      r.payload_entries += tb.host(i).payload_entries();
     }
   }
   r.jobs_visited = orch.jobs_visited();
@@ -442,6 +444,8 @@ int main(int argc, char** argv) {
                       static_cast<double>(r.calendar_probes));
       kv.emplace_back(p + "pages_materialized",
                       static_cast<double>(r.pages_materialized));
+      kv.emplace_back(p + "payload_entries",
+                      static_cast<double>(r.payload_entries));
       kv.emplace_back(p + "jobs_visited", static_cast<double>(r.jobs_visited));
       kv.emplace_back(p + "frames", static_cast<double>(r.frames));
       kv.emplace_back(p + "events_per_sec", r.events_per_sec);

@@ -58,6 +58,7 @@ struct WlOutcome {
   std::uint64_t events = 0;
   std::uint64_t calendar_probes = 0;
   std::uint64_t pages_materialized = 0;  ///< both hosts' token pages
+  std::uint64_t payload_entries = 0;     ///< migration payload entries copied
   std::uint64_t frames = 0;              ///< coroutine frames created
 };
 
@@ -87,6 +88,8 @@ WlOutcome run_workload(int which) {
   out.calendar_probes = sim.calendar_probes();
   out.pages_materialized =
       tb.source().pages_materialized() + tb.dest().pages_materialized();
+  out.payload_entries =
+      tb.source().payload_entries() + tb.dest().payload_entries();
   out.frames = sim.frames_created();
   return out;
 }
@@ -118,6 +121,7 @@ int main(int argc, char** argv) {
   std::uint64_t events = 0;
   std::uint64_t calendar_probes = 0;
   std::uint64_t pages_materialized = 0;
+  std::uint64_t payload_entries = 0;
   std::uint64_t frames = 0;
   obs::WallStopwatch wall;
   for (int i = 0; i < 3; ++i) {
@@ -127,6 +131,7 @@ int main(int argc, char** argv) {
     events += outcome.events;
     calendar_probes += outcome.calendar_probes;
     pages_materialized += outcome.pages_materialized;
+    payload_entries += outcome.payload_entries;
     frames += outcome.frames;
   }
   const double wall_ms = wall.elapsed_ms();
@@ -183,11 +188,12 @@ int main(int argc, char** argv) {
     bench::section("work and self-profile (wall clock)");
     std::printf("  wall %.1f ms, %llu events, %llu calendar probes, "
                 "%llu blocks scanned, %llu token pages materialized, "
-                "%llu coroutine frames\n%s",
+                "%llu payload entries, %llu coroutine frames\n%s",
                 wall_ms, static_cast<unsigned long long>(events),
                 static_cast<unsigned long long>(calendar_probes),
                 static_cast<unsigned long long>(scan.events),
                 static_cast<unsigned long long>(pages_materialized),
+                static_cast<unsigned long long>(payload_entries),
                 static_cast<unsigned long long>(frames),
                 profiler.table().c_str());
     std::vector<std::pair<std::string, double>> kv;
@@ -205,6 +211,8 @@ int main(int argc, char** argv) {
     kv.emplace_back("table1.blocks_scanned", static_cast<double>(scan.events));
     kv.emplace_back("table1.pages_materialized",
                     static_cast<double>(pages_materialized));
+    kv.emplace_back("table1.payload_entries",
+                    static_cast<double>(payload_entries));
     kv.emplace_back("table1.frames", static_cast<double>(frames));
     kv.emplace_back("table1.wall_ms", wall_ms);
     kv.emplace_back("table1.scan_ns_per_block",

@@ -101,7 +101,7 @@ sim::Task<void> DeltaForwardMigration::apply_delta_queue() {
           static_cast<double>(msg.range.bytes(msg.block_size)) /
           static_cast<double>(kMiB)));
     }
-    co_await dst_.vbd_for(domain_.id()).write_tokens(msg.range, msg.tokens,
+    co_await dst_.vbd_for(domain_.id()).write_segments(msg.range, msg.tokens,
                                       storage::IoSource::kMigration);
     msg.apply_payloads_to(dst_.vbd_for(domain_.id()));
   }
@@ -122,12 +122,12 @@ sim::Task<void> DeltaForwardMigration::dest_recv_loop() {
               static_cast<double>(blocks->range.bytes(blocks->block_size)) /
               static_cast<double>(kMiB)));
         }
-        co_await dst_.vbd_for(domain_.id()).write_tokens(blocks->range, blocks->tokens,
+        co_await dst_.vbd_for(domain_.id()).write_segments(blocks->range, blocks->tokens,
                                           storage::IoSource::kMigration);
         blocks->apply_payloads_to(dst_.vbd_for(domain_.id()));
       }
     } else if (const auto* pages = m->get_if<core::MemPagesMsg>()) {
-      for (const auto& [p, v] : pages->pages) shadow_mem_.apply_page(p, v);
+      pages->apply_to(shadow_mem_);
     } else if (const auto* c = m->get_if<core::ControlMsg>()) {
       if (c->kind == core::Control::kIterationEnd) {
         // Bulk copy complete: begin replaying queued deltas.

@@ -26,11 +26,11 @@ sim::Task<void> FreezeAndCopyMigration::receiver_loop() {
     auto m = co_await fwd_.recv();
     if (!m) break;
     if (const auto* blocks = m->get_if<core::DiskBlocksMsg>()) {
-      co_await dst_.vbd_for(domain_.id()).write_tokens(blocks->range, blocks->tokens,
+      co_await dst_.vbd_for(domain_.id()).write_segments(blocks->range, blocks->tokens,
                                         storage::IoSource::kMigration);
       blocks->apply_payloads_to(dst_.vbd_for(domain_.id()));
     } else if (const auto* pages = m->get_if<core::MemPagesMsg>()) {
-      for (const auto& [p, v] : pages->pages) shadow_mem_.apply_page(p, v);
+      pages->apply_to(shadow_mem_);
     }
     // CPU state needs no application in the shadow model.
   }
@@ -68,19 +68,9 @@ sim::Task<BaselineReport> FreezeAndCopyMigration::run() {
   rep.disk_iterations = 1;
 
   // Ship all of memory, then the CPU context.
-  core::MemPagesMsg pages;
-  pages.page_size = domain_.memory().page_size();
-  for (vm::PageId p = 0; p < domain_.memory().page_count(); ++p) {
-    pages.pages.emplace_back(p, domain_.memory().version(p));
-    if (pages.pages.size() >= cfg_.mem_chunk_pages ||
-        p + 1 == domain_.memory().page_count()) {
-      core::MigrationMessage msg{std::move(pages)};
-      rep.bytes_memory_precopy += msg.wire_bytes();
-      co_await fwd_.send(std::move(msg));
-      pages = core::MemPagesMsg{};
-      pages.page_size = domain_.memory().page_size();
-    }
-  }
+  hv::MemoryMigrator mm{sim_, cfg_};
+  rep.bytes_memory_precopy +=
+      co_await mm.send_all_pages(domain_, fwd_, nullptr, nullptr);
   rep.pages_precopied = domain_.memory().page_count();
   core::MigrationMessage cpu{core::CpuStateMsg{domain_.cpu()}};
   rep.bytes_freeze_residual += cpu.wire_bytes();

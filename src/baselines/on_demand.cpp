@@ -28,7 +28,7 @@ sim::Task<void> OnDemandMigration::mem_receiver_loop() {
     auto m = co_await fwd_.recv();
     if (!m) break;
     if (const auto* pages = m->get_if<core::MemPagesMsg>()) {
-      for (const auto& [p, v] : pages->pages) shadow_mem_.apply_page(p, v);
+      pages->apply_to(shadow_mem_);
     } else if (const auto* c = m->get_if<core::ControlMsg>()) {
       if (c->kind == core::Control::kEnterPostCopy) break;
     }

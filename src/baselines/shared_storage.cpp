@@ -7,7 +7,7 @@ sim::Task<void> SharedStorageMigration::receiver_loop() {
     auto m = co_await fwd_.recv();
     if (!m) break;
     if (const auto* pages = m->get_if<core::MemPagesMsg>()) {
-      for (const auto& [p, v] : pages->pages) shadow_mem_.apply_page(p, v);
+      pages->apply_to(shadow_mem_);
     }
   }
 }

@@ -152,9 +152,8 @@ sim::Task<void> PostCopyDestination::on_block_received(const DiskBlocksMsg& msg)
     const storage::BlockId rs = run->start;
     const std::uint32_t n = static_cast<std::uint32_t>(run->len);
     const std::size_t off = static_cast<std::size_t>(rs - range.start);
-    const std::span<const storage::ContentToken> toks{msg.tokens.data() + off, n};
-    co_await disk_.write_tokens(storage::BlockRange{rs, n}, toks,
-                                storage::IoSource::kMigration);
+    co_await disk_.write_segments(storage::BlockRange{rs, n}, msg.tokens,
+                                  storage::IoSource::kMigration);
     if (!msg.payloads.empty()) {
       disk_.apply_payloads(
           storage::BlockRange{rs, n},

@@ -8,6 +8,7 @@
 #include "core/dirty_bitmap.hpp"
 #include "storage/block.hpp"
 #include "storage/virtual_disk.hpp"
+#include "vm/guest_memory.hpp"
 #include "vm/types.hpp"
 #include "vm/vcpu.hpp"
 
@@ -27,7 +28,8 @@ inline constexpr std::uint64_t kMsgHeaderBytes = 32;
 /// A run of disk blocks: pre-copy chunk, post-copy push, or pull response.
 struct DiskBlocksMsg {
   storage::BlockRange range;
-  std::vector<storage::ContentToken> tokens;  // simulation content identity
+  /// Simulation content identity of `range`: page rules and explicit spans.
+  storage::TokenSegments tokens;
   /// Real block bytes, carried when the disks run in payload mode (small
   /// byte-verifiable disks); empty in token-only mode. Wire size is the
   /// block data either way.
@@ -38,9 +40,9 @@ struct DiskBlocksMsg {
   bool delta = false;
 
   DiskBlocksMsg() = default;
-  DiskBlocksMsg(storage::BlockRange r, std::vector<storage::ContentToken> t,
-                std::uint32_t bs, bool pulled, bool is_delta = false)
-      : range{r},
+  DiskBlocksMsg(storage::TokenSegments t, std::uint32_t bs, bool pulled,
+                bool is_delta = false)
+      : range{t.range},
         tokens{std::move(t)},
         block_size{bs},
         pull_response{pulled},
@@ -50,7 +52,7 @@ struct DiskBlocksMsg {
   static DiskBlocksMsg from_disk(const storage::VirtualDisk& disk,
                                  storage::BlockRange r, bool pulled,
                                  bool is_delta = false) {
-    DiskBlocksMsg m{r, disk.snapshot_tokens(r), disk.geometry().block_size,
+    DiskBlocksMsg m{disk.snapshot_segments(r), disk.geometry().block_size,
                     pulled, is_delta};
     m.payloads = disk.snapshot_payloads(r);
     return m;
@@ -75,18 +77,61 @@ struct BlockBitmapMsg {
   std::uint64_t wire_bytes() const { return kMsgHeaderBytes + bitmap.wire_bytes(); }
 };
 
-/// A batch of memory pages (id + content version) from memory pre-copy or
-/// the freeze-phase residual.
+/// A chunk of memory pages from memory pre-copy or the freeze-phase
+/// residual: runs of page ids plus one span of their versions. Memory that
+/// was never written sends its runs without versions.
 struct MemPagesMsg {
-  std::vector<std::pair<vm::PageId, std::uint64_t>> pages;
+  std::vector<SetRun> runs;  ///< ascending, disjoint page runs
+  /// The runs' versions, concatenated; empty when the sender's memory was
+  /// never written (every version is 0).
+  std::vector<std::uint64_t> versions;
+  std::uint64_t pages = 0;  ///< pages in `runs`
   std::uint32_t page_size = 4096;
-  bool final_residual = false;
 
   MemPagesMsg() = default;
+  /// An empty chunk of `mem`'s pages with room for `max_pages` pages, so
+  /// filling it allocates nothing.
+  MemPagesMsg(const vm::GuestMemory& mem, std::uint64_t max_pages)
+      : page_size{mem.page_size()} {
+    runs.reserve(max_pages);
+    if (mem.has_versions()) versions.reserve(max_pages);
+  }
+
+  /// Append the runs of pages set in `bm` at or after `from` until the
+  /// chunk holds `max_pages` pages, reading their versions now. Returns
+  /// where the next chunk's scan starts.
+  template <typename BM>
+  std::uint64_t fill(const vm::GuestMemory& mem, const BM& bm,
+                     std::uint64_t from, std::uint64_t max_pages) {
+    while (pages < max_pages) {
+      const auto run =
+          wordops::next_set_run(bm, from, bm.size(), max_pages - pages);
+      if (!run.has_value()) break;
+      runs.push_back(*run);
+      const auto v = mem.snapshot_run(run->start, run->len);
+      versions.insert(versions.end(), v.begin(), v.end());
+      pages += run->len;
+      from = run->start + run->len;
+    }
+    return from;
+  }
+
+  /// Install every run's versions on `mem` (the receive path).
+  void apply_to(vm::GuestMemory& mem) const {
+    const std::uint64_t* v = versions.data();
+    for (const SetRun& r : runs) {
+      if (versions.empty()) {
+        mem.apply_zero(r.start, r.len);
+      } else {
+        mem.apply_versions(r.start, {v, r.len});
+        v += r.len;
+      }
+    }
+  }
 
   std::uint64_t wire_bytes() const {
     // Page payload plus an 8-byte page-frame header each.
-    return kMsgHeaderBytes + pages.size() * (page_size + 8ull);
+    return kMsgHeaderBytes + pages * (page_size + 8ull);
   }
 };
 

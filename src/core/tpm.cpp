@@ -49,7 +49,12 @@ TpmMigration::TpmMigration(sim::Simulator& sim, MigrationConfig cfg,
       mem_migrator_{sim, cfg_},
       shadow_mem_{domain.memory().total_bytes() / kMiB,
                   domain.memory().page_size()},
-      control_notify_{sim} {}
+      control_notify_{sim} {
+  // Runs under the caller's kOther scope: with the guest's memory already
+  // written, the shadow's array is allocated here, so dest_recv_loop
+  // applies rounds without allocating.
+  if (domain.memory().has_versions()) shadow_mem_.reserve_versions();
+}
 
 sim::Task<MigrationReport> TpmMigration::run() {
   assert(src_.hosts_domain(domain_) && "domain must start on the source host");
@@ -532,14 +537,12 @@ sim::Task<void> TpmMigration::dest_recv_loop() {
               static_cast<double>(blocks->range.bytes(blocks->block_size)) /
               (1024.0 * 1024.0)));
         }
-        co_await dst_.vbd_for(domain_.id()).write_tokens(blocks->range, blocks->tokens,
+        co_await dst_.vbd_for(domain_.id()).write_segments(blocks->range, blocks->tokens,
                                           storage::IoSource::kMigration);
         blocks->apply_payloads_to(dst_.vbd_for(domain_.id()));
       }
     } else if (const auto* pages = m->get_if<MemPagesMsg>()) {
-      for (const auto& [page, version] : pages->pages) {
-        shadow_mem_.apply_page(page, version);
-      }
+      pages->apply_to(shadow_mem_);
     } else if (const auto* cpu = m->get_if<CpuStateMsg>()) {
       received_cpu_ = cpu->cpu;
     } else if (auto* bm = m->get_if<BlockBitmapMsg>()) {

@@ -103,6 +103,8 @@ class TpmMigration {
   sim::Task<MigrationReport> run();
 
   const MigrationReport& report() const noexcept { return rep_; }
+  /// The destination's copy of guest memory, as received over the wire.
+  const vm::GuestMemory& shadow_memory() const noexcept { return shadow_mem_; }
 
   /// Override the first pre-copy pass with an externally-maintained seed
   /// (multi-host IM directory, or a forced full copy when the destination

@@ -1,5 +1,7 @@
 #include "hypervisor/checkpoint.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <string>
 #include <utility>
 
@@ -13,44 +15,26 @@ using core::MigrationMessage;
 
 sim::Task<std::uint64_t> MemoryMigrator::send_pages(
     vm::Domain& domain, const core::BlockBitmap& pages, MigStream& stream,
-    net::TokenBucket* shaper, bool final_residual, std::uint64_t* pages_sent) {
+    net::TokenBucket* shaper, std::uint64_t* pages_sent) {
   std::uint64_t bytes = 0;
-  const std::uint64_t total = pages.count_set();
-  MemPagesMsg msg;
-  {
-    obs::ProfScope setup_prof{obs::ProfCategory::kOther};
-    msg.page_size = domain.memory().page_size();
-    msg.pages.reserve(cfg_.mem_chunk_pages);
-  }
-
-  // Walk the bitmap cursor directly instead of materializing an index
-  // vector: no per-call O(set pages) allocation, same send order.
-  std::uint64_t seen = 0;
+  std::uint64_t left = pages.count_set();
+  const std::uint64_t chunk = std::max<std::uint64_t>(1, cfg_.mem_chunk_pages);
   std::uint64_t pos = 0;
-  while (seen < total) {
-    const auto nxt = pages.next_set(pos);
-    if (!nxt.has_value()) break;
-    const std::uint64_t p = *nxt;
-    pos = p + 1;
-    ++seen;
-    // Version snapshot happens at send time, like reading the live page.
-    msg.pages.emplace_back(p, domain.memory().version(p));
-    const bool last = seen == total;
-    if (msg.pages.size() >= cfg_.mem_chunk_pages || last) {
-      msg.final_residual = final_residual && last;
-      if (pages_sent != nullptr) *pages_sent += msg.pages.size();
-      MigrationMessage wire{std::move(msg)};
-      bytes += wire.wire_bytes();
-      co_await stream.send(std::move(wire), shaper);
-      {
-        // Refill the chunk buffer (the previous one was moved onto the
-        // wire); buffer churn is charged kOther, not dispatch.
-        obs::ProfScope refill_prof{obs::ProfCategory::kOther};
-        msg = MemPagesMsg{};
-        msg.page_size = domain.memory().page_size();
-        msg.pages.reserve(cfg_.mem_chunk_pages);
-      }
-    }
+  while (left > 0) {
+    const std::uint64_t n = std::min(chunk, left);
+    // The chunk buffers are per-chunk churn, charged kOther, not dispatch.
+    MemPagesMsg msg = [&] {
+      obs::ProfScope chunk_prof{obs::ProfCategory::kOther};
+      return MemPagesMsg{domain.memory(), n};
+    }();
+    // Version snapshot happens at send time, like reading the live pages.
+    pos = msg.fill(domain.memory(), pages, pos, n);
+    assert(msg.pages == n);
+    left -= n;
+    if (pages_sent != nullptr) *pages_sent += n;
+    MigrationMessage wire{std::move(msg)};
+    bytes += wire.wire_bytes();
+    co_await stream.send(std::move(wire), shaper);
   }
   co_return bytes;
 }
@@ -64,8 +48,7 @@ sim::Task<std::uint64_t> MemoryMigrator::send_all_pages(
     return core::BlockBitmap{domain.memory().page_count(),
                              /*initially_set=*/true};
   }();
-  co_return co_await send_pages(domain, all, stream, shaper,
-                                /*final_residual=*/false, pages_sent);
+  co_return co_await send_pages(domain, all, stream, shaper, pages_sent);
 }
 
 sim::Task<MemoryMigrator::PrecopyResult> MemoryMigrator::precopy(
@@ -112,7 +95,7 @@ sim::Task<MemoryMigrator::PrecopyResult> MemoryMigrator::precopy(
     const sim::TimePoint round_start = sim_.now();
     std::uint64_t sent = 0;
     const std::uint64_t round_bytes =
-        co_await send_pages(domain, snap, stream, shaper, false, &sent);
+        co_await send_pages(domain, snap, stream, shaper, &sent);
     res.bytes_sent += round_bytes;
     res.pages_sent += sent;
     last_iter_pages = sent;
@@ -140,8 +123,8 @@ sim::Task<MemoryMigrator::ResidualResult> MemoryMigrator::send_residual(
   }();
   res.pages = snap.count_set();
   // Residual is always sent unshaped: it happens inside the downtime.
-  res.pages_bytes = co_await send_pages(domain, snap, stream, /*shaper=*/nullptr,
-                                        /*final_residual=*/true, nullptr);
+  res.pages_bytes =
+      co_await send_pages(domain, snap, stream, /*shaper=*/nullptr, nullptr);
   MigrationMessage cpu{core::CpuStateMsg{domain.cpu()}};
   res.cpu_bytes = cpu.wire_bytes();
   res.bytes = res.pages_bytes + res.cpu_bytes;

@@ -65,17 +65,20 @@ class MemoryMigrator {
   /// The domain must already be suspended. Disables the dirty log.
   sim::Task<ResidualResult> send_residual(vm::Domain& domain, MigStream& stream);
 
- private:
-  /// Send the pages set in `pages` in config-sized chunks; returns bytes.
-  sim::Task<std::uint64_t> send_pages(vm::Domain& domain,
-                                      const core::BlockBitmap& pages,
-                                      MigStream& stream, net::TokenBucket* shaper,
-                                      bool final_residual,
-                                      std::uint64_t* pages_sent);
-  /// Send every page of the domain (first iteration).
+  /// Send every page of the domain once (pre-copy round 1, or a frozen
+  /// guest's whole image); returns bytes.
   sim::Task<std::uint64_t> send_all_pages(vm::Domain& domain, MigStream& stream,
                                           net::TokenBucket* shaper,
                                           std::uint64_t* pages_sent);
+
+ private:
+  /// Send the pages set in `pages` in config-sized chunks of page runs
+  /// (every chunk but the last holds exactly `mem_chunk_pages` pages);
+  /// returns bytes.
+  sim::Task<std::uint64_t> send_pages(vm::Domain& domain,
+                                      const core::BlockBitmap& pages,
+                                      MigStream& stream, net::TokenBucket* shaper,
+                                      std::uint64_t* pages_sent);
 
   sim::Simulator& sim_;
   const core::MigrationConfig& cfg_;

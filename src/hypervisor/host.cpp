@@ -41,6 +41,13 @@ std::uint64_t Host::pages_materialized() const {
   return n;
 }
 
+std::uint64_t Host::payload_entries() const {
+  std::uint64_t n = disk_.payload_entries();
+  for (const auto& vbd : extra_vbds_) n += vbd->payload_entries();
+  for (const vm::Domain* d : domains_) n += d->memory().payload_entries();
+  return n;
+}
+
 void Host::index_backend(vm::BlkBackend& be) {
   DomainSlot& slot = by_domain_[be.served_domain()];
   if (slot.backend == nullptr) slot.backend = &be;

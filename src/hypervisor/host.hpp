@@ -48,6 +48,10 @@ class Host {
   const storage::VirtualDisk* find_vbd(vm::DomainId domain) const;
   /// Token pages materialized across all of this host's VBDs.
   std::uint64_t pages_materialized() const;
+  /// Payload entries copied into migration messages out of this host's
+  /// VBDs and out of the memory of the domains it now hosts (a domain's
+  /// count moves with it, so a sum over hosts counts each domain once).
+  std::uint64_t payload_entries() const;
 
   /// The host's primary block backend (first VBD). Hosts serving several
   /// DomUs have one backend per domain — see backend_for().

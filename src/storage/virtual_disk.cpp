@@ -24,9 +24,7 @@ VirtualDisk::VirtualDisk(sim::Simulator& sim, Geometry geometry,
       scheduler_{owned_scheduler_.get()},
       store_payloads_{store_payloads},
       pages_{sim::make_zeroed_array<Page>(
-          (geometry.block_count + kTokenPageBlocks - 1) / kTokenPageBlocks)},
-      explicit_{std::make_unique_for_overwrite<ContentToken[]>(
-          geometry.block_count)} {}
+          (geometry.block_count + kTokenPageBlocks - 1) / kTokenPageBlocks)} {}
 
 VirtualDisk::VirtualDisk(sim::Simulator& sim, Geometry geometry,
                          DiskScheduler& shared, bool store_payloads)
@@ -35,12 +33,27 @@ VirtualDisk::VirtualDisk(sim::Simulator& sim, Geometry geometry,
       scheduler_{&shared},
       store_payloads_{store_payloads},
       pages_{sim::make_zeroed_array<Page>(
-          (geometry.block_count + kTokenPageBlocks - 1) / kTokenPageBlocks)},
-      explicit_{std::make_unique_for_overwrite<ContentToken[]>(
-          geometry.block_count)} {}
+          (geometry.block_count + kTokenPageBlocks - 1) / kTokenPageBlocks)} {}
+
+ContentToken TokenSegments::token(BlockId b) const {
+  assert(b >= range.start && b < range.end());
+  const std::size_t p = b / kTokenPageBlocks;
+  const Segment& seg = segments[p - first_page()];
+  switch (seg.tag) {
+    case PageTag::kZero: return kZeroBlockToken;
+    case PageTag::kAffine: return seg.base + b;
+    case PageTag::kExplicit: break;
+  }
+  const BlockId seg_first = std::max<BlockId>(range.start, p * kTokenPageBlocks);
+  return tokens[seg.offset + (b - seg_first)];
+}
 
 void VirtualDisk::materialize(std::size_t p) {
   if (pages_[p].tag == PageTag::kExplicit) return;
+  if (!explicit_) {
+    explicit_ =
+        std::make_unique_for_overwrite<ContentToken[]>(geometry_.block_count);
+  }
   const BlockId first = p * kTokenPageBlocks;
   const BlockId last =
       std::min<BlockId>(first + kTokenPageBlocks, geometry_.block_count);
@@ -55,67 +68,82 @@ void VirtualDisk::poke_token(BlockId b, ContentToken t) {
   explicit_[b] = t;
 }
 
-VirtualDisk::Segment VirtualDisk::segment_at(BlockId b, BlockId end) const {
+VirtualDisk::PageSpan VirtualDisk::span_at(BlockId b, BlockId end) const {
   const std::size_t p = b / kTokenPageBlocks;
   const BlockId page_first = p * kTokenPageBlocks;
   const BlockId page_end =
       std::min<BlockId>(page_first + kTokenPageBlocks, geometry_.block_count);
-  const BlockId seg_end = std::min(end, page_end);
-  return {p, seg_end, b == page_first && seg_end == page_end};
+  const BlockId span_end = std::min(end, page_end);
+  return {p, span_end, b == page_first && span_end == page_end};
 }
 
 void VirtualDisk::poke_affine(BlockRange range, ContentToken base) {
   assert(range.end() <= geometry_.block_count);
   for (BlockId b = range.start; b < range.end();) {
-    const Segment seg = segment_at(b, range.end());
-    Page& page = pages_[seg.page];
-    if (seg.whole && page.tag != PageTag::kExplicit) {
-      page = {base, PageTag::kAffine};
-    } else {
-      materialize(seg.page);
-      for (BlockId i = b; i < seg.end; ++i) explicit_[i] = base + i;
-    }
-    b = seg.end;
+    const PageSpan span = span_at(b, range.end());
+    install(span, b, {base, PageTag::kAffine}, nullptr);
+    b = span.end;
   }
 }
 
-void VirtualDisk::install_tokens(BlockRange range, const ContentToken* tokens) {
-  for (BlockId b = range.start; b < range.end();) {
-    const Segment seg = segment_at(b, range.end());
-    const ContentToken* src = tokens + (b - range.start);
-    Page& page = pages_[seg.page];
-    bool affine = seg.whole && page.tag != PageTag::kExplicit;
-    for (BlockId i = 1; affine && i < seg.end - b; ++i) {
+void VirtualDisk::install(const PageSpan& span, BlockId b, Page rule,
+                          const ContentToken* src) {
+  Page& page = pages_[span.page];
+  if (span.whole && page.tag != PageTag::kExplicit) {
+    if (rule.tag != PageTag::kExplicit) {
+      page.base = rule.base;
+      page.tag = rule.tag;
+      return;
+    }
+    // An explicit source page can hold an exactly affine run.
+    bool affine = true;
+    for (BlockId i = 1; affine && i < span.end - b; ++i) {
       affine = src[i] == src[0] + i;
     }
     if (affine) {
       page = {src[0] - b, PageTag::kAffine};
-    } else {
-      materialize(seg.page);
-      std::copy(src, src + (seg.end - b), explicit_.get() + b);
+      return;
     }
-    b = seg.end;
+  }
+  write_explicit(span, b, rule, src);
+}
+
+void VirtualDisk::write_explicit(const PageSpan& span, BlockId b, Page rule,
+                                 const ContentToken* src) {
+  materialize(span.page);
+  const BlockId len = span.end - b;
+  ContentToken* dst = explicit_.get() + b;
+  switch (rule.tag) {
+    case PageTag::kZero:
+      std::fill(dst, dst + len, kZeroBlockToken);
+      break;
+    case PageTag::kAffine:
+      for (BlockId i = 0; i < len; ++i) dst[i] = rule.base + b + i;
+      break;
+    case PageTag::kExplicit:
+      std::copy(src, src + len, dst);
+      break;
   }
 }
 
 void VirtualDisk::read_tokens(BlockId first, std::uint64_t len,
                               ContentToken* out) const {
   for (BlockId b = first; b < first + len;) {
-    const Segment seg = segment_at(b, first + len);
-    const Page& page = pages_[seg.page];
+    const PageSpan span = span_at(b, first + len);
+    const Page& page = pages_[span.page];
     ContentToken* dst = out + (b - first);
     switch (page.tag) {
       case PageTag::kZero:
-        std::fill(dst, dst + (seg.end - b), kZeroBlockToken);
+        std::fill(dst, dst + (span.end - b), kZeroBlockToken);
         break;
       case PageTag::kAffine:
-        for (BlockId i = b; i < seg.end; ++i) *dst++ = page.base + i;
+        for (BlockId i = b; i < span.end; ++i) *dst++ = page.base + i;
         break;
       case PageTag::kExplicit:
-        std::copy(explicit_.get() + b, explicit_.get() + seg.end, dst);
+        std::copy(explicit_.get() + b, explicit_.get() + span.end, dst);
         break;
     }
-    b = seg.end;
+    b = span.end;
   }
 }
 
@@ -144,12 +172,26 @@ DiskIo VirtualDisk::write(BlockRange range, IoSource source) {
   return scheduler_->execute(IoOp::kWrite, range, geometry_.block_size, source);
 }
 
-DiskIo VirtualDisk::write_tokens(BlockRange range,
-                                 std::span<const ContentToken> tokens,
-                                 IoSource source) {
+DiskIo VirtualDisk::write_segments(BlockRange range,
+                                   const TokenSegments& segments,
+                                   IoSource source) {
   assert(range.end() <= geometry_.block_count);
-  assert(tokens.size() == range.count);
-  install_tokens(range, tokens.data());
+  assert(range.start >= segments.range.start &&
+         range.end() <= segments.range.end());
+  for (BlockId b = range.start; b < range.end();) {
+    const PageSpan span = span_at(b, range.end());
+    const TokenSegments::Segment& seg =
+        segments.segments[span.page - segments.first_page()];
+    const ContentToken* src = nullptr;
+    if (seg.tag == PageTag::kExplicit) {
+      // The span starts at the snapshot's first block on its first page.
+      const BlockId seg_first = std::max<BlockId>(
+          segments.range.start, span.page * kTokenPageBlocks);
+      src = segments.tokens.data() + seg.offset + (b - seg_first);
+    }
+    install(span, b, {seg.base, seg.tag}, src);
+    b = span.end;
+  }
   ++write_count_;
   return scheduler_->execute(IoOp::kWrite, range, geometry_.block_size, source);
 }
@@ -171,10 +213,38 @@ DiskIo VirtualDisk::write_bytes(BlockRange range,
   return scheduler_->execute(IoOp::kWrite, range, geometry_.block_size, source);
 }
 
-std::vector<ContentToken> VirtualDisk::snapshot_tokens(BlockRange range) const {
+TokenSegments VirtualDisk::snapshot_segments(BlockRange range) const {
   assert(range.end() <= geometry_.block_count);
-  std::vector<ContentToken> out(range.count);
-  read_tokens(range.start, range.count, out.data());
+  TokenSegments out;
+  out.range = range;
+  if (range.count == 0) return out;
+  out.segments.reserve((range.end() - 1) / kTokenPageBlocks -
+                       range.start / kTokenPageBlocks + 1);
+  std::uint32_t explicit_blocks = 0;
+  for (BlockId b = range.start; b < range.end();) {
+    const PageSpan span = span_at(b, range.end());
+    const Page& page = pages_[span.page];
+    TokenSegments::Segment& seg = out.segments.emplace_back();
+    seg.tag = page.tag;
+    if (page.tag == PageTag::kAffine) seg.base = page.base;
+    if (page.tag == PageTag::kExplicit) {
+      seg.offset = explicit_blocks;
+      explicit_blocks += static_cast<std::uint32_t>(span.end - b);
+    }
+    b = span.end;
+  }
+  if (explicit_blocks > 0) {
+    out.tokens.reserve(explicit_blocks);
+    for (BlockId b = range.start; b < range.end();) {
+      const PageSpan span = span_at(b, range.end());
+      if (pages_[span.page].tag == PageTag::kExplicit) {
+        out.tokens.insert(out.tokens.end(), explicit_.get() + b,
+                          explicit_.get() + span.end);
+      }
+      b = span.end;
+    }
+  }
+  payload_entries_ += out.entries();
   return out;
 }
 

@@ -31,6 +31,38 @@ inline constexpr ContentToken kZeroBlockToken = 0;
 /// all zero, or affine `token(b) = base + b` — until a write breaks it.
 inline constexpr std::uint32_t kTokenPageBlocks = 256;
 
+/// What a token page holds: a rule, or one explicit token per block.
+enum class PageTag : std::uint8_t { kZero = 0, kAffine, kExplicit };
+
+/// A block range's content tokens as a migration message carries them
+/// (`VirtualDisk::snapshot_segments`): one segment per token page the range
+/// touches. A rule page travels as its rule, an explicit page as a span of
+/// `tokens`, so a chunk of rule pages costs O(pages) to build and install
+/// however many blocks it covers.
+struct TokenSegments {
+  struct Segment {
+    ContentToken base = 0;     ///< kAffine: token(b) = base + b
+    std::uint32_t offset = 0;  ///< kExplicit: index of its first token in `tokens`
+    PageTag tag = PageTag::kZero;
+  };
+
+  BlockRange range;
+  /// Segment i covers the blocks of `range` in token page `first_page() + i`.
+  std::vector<Segment> segments;
+  /// The explicit segments' tokens, concatenated in block order.
+  std::vector<ContentToken> tokens;
+
+  std::size_t first_page() const noexcept {
+    return range.start / kTokenPageBlocks;
+  }
+  /// Token of block `b`, which must lie in `range`.
+  ContentToken token(BlockId b) const;
+  /// Payload entries: one per segment plus one per explicit token.
+  std::uint64_t entries() const noexcept {
+    return segments.size() + tokens.size();
+  }
+};
+
 /// A virtual block device: token state + timed access through a
 /// FIFO-contended `DiskScheduler`. This is the raw device; interception and
 /// dirty tracking live in the split driver (`vm::BlkBackend`), exactly as in
@@ -65,10 +97,11 @@ class VirtualDisk {
   /// Timed guest-style write: every block in the range gets a fresh token.
   DiskIo write(BlockRange range, IoSource source = IoSource::kGuest);
 
-  /// Timed write that installs the given tokens (migration receive path).
-  /// `tokens.size()` must equal `range.count`.
-  DiskIo write_tokens(BlockRange range, std::span<const ContentToken> tokens,
-                      IoSource source = IoSource::kMigration);
+  /// Timed write that installs `segments`' tokens on `range` (migration
+  /// receive path). `range` must lie within `segments.range`: post-copy
+  /// installs only the still-dirty sub-runs of a chunk.
+  DiskIo write_segments(BlockRange range, const TokenSegments& segments,
+                        IoSource source = IoSource::kMigration);
 
   /// Timed write of real bytes (payload mode); token = content hash.
   /// `bytes.size()` must equal `range.count * block_size`.
@@ -86,8 +119,10 @@ class VirtualDisk {
     }
     return explicit_[b];
   }
-  /// Copy `range.count` tokens out (what a migration sender transmits).
-  std::vector<ContentToken> snapshot_tokens(BlockRange range) const;
+  /// The tokens of `range` as page segments (what a migration sender
+  /// transmits): a rule page is copied as its rule, an explicit page as its
+  /// tokens.
+  TokenSegments snapshot_segments(BlockRange range) const;
   /// Directly set a token without timing (test fixture setup). Makes the
   /// block's page explicit.
   void poke_token(BlockId b, ContentToken t);
@@ -97,7 +132,7 @@ class VirtualDisk {
 
   /// Payload of block b (empty span if none stored).
   std::span<const std::byte> payload(BlockId b) const;
-  /// Install payload bytes untimed (paired with write_tokens on receive).
+  /// Install payload bytes untimed (paired with write_segments on receive).
   void poke_payload(BlockId b, std::span<const std::byte> bytes);
   /// Concatenated payload bytes for a range (what a migration sender ships
   /// in payload mode); empty when payloads are not stored.
@@ -122,12 +157,16 @@ class VirtualDisk {
   std::uint64_t pages_materialized() const noexcept {
     return pages_materialized_;
   }
+  /// True once a page has materialized: the explicit token array exists.
+  bool has_explicit_tokens() const noexcept { return explicit_ != nullptr; }
+  /// Payload entries `snapshot_segments` copied out of this disk (exact
+  /// work counter): one per segment plus one per explicit token.
+  std::uint64_t payload_entries() const noexcept { return payload_entries_; }
 
   /// Hash bytes to a content token (stable; used in payload mode).
   static ContentToken hash_bytes(std::span<const std::byte> bytes);
 
  private:
-  enum class PageTag : std::uint8_t { kZero = 0, kAffine, kExplicit };
   /// All-zero bytes are a zero page, so the page table starts zeroed.
   struct Page {
     ContentToken base = 0;  ///< affine pages: token(b) = base + b
@@ -135,18 +174,25 @@ class VirtualDisk {
   };
 
   /// The part of [b, end) that lies in b's page.
-  struct Segment {
+  struct PageSpan {
     std::size_t page;
     BlockId end;  ///< exclusive
     bool whole;   ///< covers the entire page
   };
 
-  Segment segment_at(BlockId b, BlockId end) const;
-  /// Copy page `p`'s rule into the explicit array and tag it explicit.
+  PageSpan span_at(BlockId b, BlockId end) const;
+  /// Copy page `p`'s rule into the explicit array and tag it explicit. The
+  /// first call allocates the array.
   void materialize(std::size_t p);
-  /// Install `tokens` on `range`: a whole non-explicit page that receives
-  /// an exactly affine run takes the rule; any other page materializes.
-  void install_tokens(BlockRange range, const ContentToken* tokens);
+  /// Install tokens on [b, span.end): the rule `rule` or, when it is
+  /// explicit, the tokens at `src`. A whole non-explicit page takes a rule,
+  /// or explicit tokens that form an exactly affine run, as its own rule;
+  /// any other page materializes.
+  void install(const PageSpan& span, BlockId b, Page rule,
+               const ContentToken* src);
+  /// `install`'s materializing half: write the tokens into the array.
+  void write_explicit(const PageSpan& span, BlockId b, Page rule,
+                      const ContentToken* src);
   /// Copy the tokens of [first, first + len) to `out`.
   void read_tokens(BlockId first, std::uint64_t len, ContentToken* out) const;
 
@@ -158,10 +204,12 @@ class VirtualDisk {
   /// One rule per kTokenPageBlocks blocks. Allocated zeroed and untouched,
   /// so a testbed touches only the pages it uses.
   sim::ZeroedArray<Page> pages_;
-  /// Tokens of explicit pages, indexed by block. Allocated uninitialized:
-  /// only entries of explicit pages are ever written or read.
+  /// Tokens of explicit pages, indexed by block. Allocated uninitialized by
+  /// the first materialization, so a disk whose pages all keep their rules
+  /// never has one; only entries of explicit pages are written or read.
   std::unique_ptr<ContentToken[]> explicit_;
   std::uint64_t pages_materialized_ = 0;
+  mutable std::uint64_t payload_entries_ = 0;
   std::unordered_map<BlockId, std::vector<std::byte>> payloads_;
   std::uint64_t write_count_ = 0;
 };

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "hypervisor/checkpoint.hpp"
 #include "hypervisor/host.hpp"
 
@@ -127,7 +130,7 @@ class MemoryMigratorTest : public ::testing::Test {
       auto m = co_await stream_.recv();
       if (!m) break;
       if (const auto* pages = m->get_if<core::MemPagesMsg>()) {
-        for (const auto& [p, v] : pages->pages) shadow.apply_page(p, v);
+        pages->apply_to(shadow);
       } else if (const auto* cpu = m->get_if<core::CpuStateMsg>()) {
         cpu_version_ = cpu->cpu.version;
       }
@@ -247,6 +250,64 @@ TEST_F(MemoryMigratorTest, DirtyRateAbortFires) {
   sim_.run();
   EXPECT_TRUE(res.aborted_dirty_rate);
   EXPECT_LT(res.iterations, 10);
+}
+
+/// Pages per expected chunk: full chunks, then the remainder.
+std::vector<std::uint64_t> chunk_sizes(std::uint64_t total,
+                                       std::uint64_t chunk) {
+  std::vector<std::uint64_t> out(total / chunk, chunk);
+  if (total % chunk != 0) out.push_back(total % chunk);
+  return out;
+}
+
+// Run-encoded rounds keep the parent's message boundaries: every chunk of a
+// round holds exactly mem_chunk_pages pages but the last, however the
+// dirty set breaks into runs.
+TEST(MemoryMigratorChunkTest, ChunksHoldExactlyTheConfiguredPages) {
+  for (const std::uint32_t chunk : {1u, 7u, 64u, 100u, 300u}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    Simulator sim;
+    net::LinkParams lp;
+    lp.bandwidth_mibps = 1000.0;
+    lp.latency = sim::Duration::micros(10);
+    net::Link link{sim, lp};
+    MigStream stream{sim, link};
+    MigrationConfig cfg;
+    cfg.mem_chunk_pages = chunk;
+    vm::Domain d{sim, 1, "vm", 1};  // 256 pages
+    for (vm::PageId p = 0; p < 256; p += 3) d.touch_memory(p);
+    vm::GuestMemory shadow{1};
+    std::vector<std::uint64_t> sizes;
+    sim.spawn([](MigStream& s, vm::GuestMemory& shadow,
+                 std::vector<std::uint64_t>& sizes) -> Task<void> {
+      while (auto m = co_await s.recv()) {
+        if (const auto* pages = m->get_if<core::MemPagesMsg>()) {
+          sizes.push_back(pages->pages);
+          pages->apply_to(shadow);
+        }
+      }
+    }(stream, shadow, sizes));
+    MemoryMigrator mm{sim, cfg};
+    std::uint64_t residual = 0;
+    sim.spawn([](MemoryMigrator& mm, vm::Domain& d, MigStream& s,
+                 std::uint64_t& residual) -> Task<void> {
+      co_await mm.send_all_pages(d, s, nullptr, nullptr);
+      d.memory().enable_dirty_log();
+      for (vm::PageId p : {5, 6, 7, 9}) d.touch_memory(p);
+      for (vm::PageId p = 100; p < 231; p += 1 + p % 3) d.touch_memory(p);
+      d.suspend();
+      residual = (co_await mm.send_residual(d, s)).pages;
+      s.close();
+    }(mm, d, stream, residual));
+    sim.run();
+    std::vector<std::uint64_t> want = chunk_sizes(256, chunk);
+    for (const std::uint64_t n : chunk_sizes(residual, chunk)) {
+      want.push_back(n);
+    }
+    EXPECT_GT(residual, 50u);
+    EXPECT_EQ(sizes, want);
+    EXPECT_TRUE(shadow.content_equals(d.memory()));
+  }
 }
 
 }  // namespace

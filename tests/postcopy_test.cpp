@@ -34,6 +34,7 @@ struct DestRig {
   DestRig(Simulator& sim, std::uint64_t blocks,
           std::initializer_list<storage::BlockId> dirty, bool pull = true)
       : disk{sim, Geometry::from_blocks(blocks), fast_disk()},
+        source{sim, Geometry::from_blocks(blocks)},
         rev_link{sim},
         rev{sim, rev_link} {
     DirtyBitmap bm{BitmapKind::kFlat, blocks};
@@ -42,12 +43,15 @@ struct DestRig {
                                                    /*migrated=*/7, rev, pull);
   }
 
+  /// A one-block message as the source sends it, carrying token `tok`.
   DiskBlocksMsg make_block(storage::BlockId b, bool pulled,
                            storage::ContentToken tok = 0xCAFE) {
-    return DiskBlocksMsg{BlockRange{b, 1}, {tok}, 4096, pulled};
+    source.poke_token(b, tok);
+    return DiskBlocksMsg::from_disk(source, BlockRange{b, 1}, pulled);
   }
 
   storage::VirtualDisk disk;
+  storage::VirtualDisk source;  ///< where make_block's messages come from
   net::Link rev_link;
   MigStream rev;
   std::unique_ptr<PostCopyDestination> engine;
@@ -195,10 +199,11 @@ TEST(PostCopyDestinationTest, PartiallyDirtyRangeAppliesOnlyDirtyRuns) {
   DestRig rig{sim, 64, {10, 11, 13}};
   // Block 12 was overwritten locally (clean); a push covering 10-13 arrives.
   sim.spawn([](DestRig& rig) -> Task<void> {
-    DiskBlocksMsg msg{BlockRange{10, 4},
-                      {0xA0, 0xA1, 0xA2, 0xA3},
-                      4096,
-                      /*pulled=*/false};
+    for (storage::BlockId b = 10; b < 14; ++b) {
+      rig.source.poke_token(b, 0xA0 + (b - 10));
+    }
+    const DiskBlocksMsg msg =
+        DiskBlocksMsg::from_disk(rig.source, BlockRange{10, 4}, /*pulled=*/false);
     co_await rig.engine->on_block_received(msg);
   }(rig));
   sim.run();

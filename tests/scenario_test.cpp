@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/tpm.hpp"
 #include "scenario/testbed.hpp"
 #include "workloads/streaming.hpp"
 #include "workloads/web_server.hpp"
@@ -74,6 +75,64 @@ TEST(TestbedTest, IdleTpmMaterializesNoPages) {
   EXPECT_EQ(tb.source().disk().pages_materialized(), 0u);
   EXPECT_EQ(tb.dest().disk().pages_materialized(), 0u);
   EXPECT_TRUE(tb.dest().disk().content_equals(tb.source().disk()));
+}
+
+// A zero page stays zero across a migration: on a half-prefilled disk the
+// destination materializes only the pages that are explicit at the source.
+TEST(TestbedTest, TpmKeepsZeroPagesZero) {
+  Simulator sim;
+  TestbedConfig cfg;
+  cfg.vbd_mib = 64;
+  Testbed tb{sim, cfg};
+  storage::VirtualDisk& src = tb.source().disk();
+  const auto half =
+      static_cast<std::uint32_t>(src.geometry().block_count / 2 + 100);
+  src.poke_affine({0, half}, 0x5000000000000000ull);
+  ASSERT_EQ(src.pages_materialized(), 1u);  // the page `half` splits
+  const auto rep = tb.run_tpm(nullptr, 1_s, 1_s, tb.paper_migration_config());
+  EXPECT_TRUE(rep.disk_consistent);
+  EXPECT_TRUE(tb.dest().disk().content_equals(src));
+  EXPECT_EQ(tb.dest().disk().pages_materialized(), src.pages_materialized());
+}
+
+// Memory that was never written travels as bare runs: after an idle
+// guest's TPM neither its memory nor the destination's shadow has a version
+// array.
+TEST(TestbedTest, IdleTpmAllocatesNoVersionArrays) {
+  Simulator sim;
+  TestbedConfig cfg;
+  cfg.vbd_mib = 64;
+  Testbed tb{sim, cfg};
+  tb.prefill_disk();
+  core::TpmMigration tpm{sim, tb.paper_migration_config(), tb.vm(),
+                         tb.source(), tb.dest()};
+  core::MigrationReport rep;
+  sim.spawn([](core::TpmMigration& t,
+               core::MigrationReport& out) -> sim::Task<void> {
+    out = co_await t.run();
+  }(tpm, rep));
+  sim.run();
+  EXPECT_TRUE(rep.memory_consistent);
+  EXPECT_TRUE(rep.disk_consistent);
+  EXPECT_TRUE(tb.dest().hosts_domain(tb.vm()));
+  EXPECT_FALSE(tb.vm().memory().has_versions());
+  EXPECT_FALSE(tpm.shadow_memory().has_versions());
+}
+
+// The shadow reserves its version array when the engine is built (under
+// the caller's setup scope), so applying written rounds allocates nothing.
+TEST(TestbedTest, ShadowReservesVersionsOnlyForWrittenMemory) {
+  Simulator sim;
+  TestbedConfig cfg;
+  cfg.vbd_mib = 64;
+  Testbed tb{sim, cfg};
+  const core::TpmMigration idle{sim, tb.paper_migration_config(), tb.vm(),
+                                tb.source(), tb.dest()};
+  EXPECT_FALSE(idle.shadow_memory().has_versions());
+  tb.vm().touch_memory(3);
+  const core::TpmMigration written{sim, tb.paper_migration_config(), tb.vm(),
+                                   tb.source(), tb.dest()};
+  EXPECT_TRUE(written.shadow_memory().has_versions());
 }
 
 TEST(TestbedTest, SmallDiskRunsFast) {

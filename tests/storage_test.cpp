@@ -251,14 +251,14 @@ TEST(VirtualDiskTest, TokensUniqueAcrossDisks) {
   EXPECT_NE(a.token(0), b.token(0));
 }
 
-TEST(VirtualDiskTest, WriteTokensInstallsContent) {
+TEST(VirtualDiskTest, WriteSegmentsInstallsContent) {
   Simulator sim;
   VirtualDisk src{sim, Geometry::from_blocks(20)};
   VirtualDisk dst{sim, Geometry::from_blocks(20)};
   sim.spawn([](VirtualDisk& src, VirtualDisk& dst) -> Task<void> {
     co_await src.write(BlockRange{0, 20});
-    const auto toks = src.snapshot_tokens(BlockRange{0, 20});
-    co_await dst.write_tokens(BlockRange{0, 20}, toks);
+    const auto segs = src.snapshot_segments(BlockRange{0, 20});
+    co_await dst.write_segments(BlockRange{0, 20}, segs);
   }(src, dst));
   sim.run();
   EXPECT_TRUE(src.content_equals(dst));
@@ -359,6 +359,118 @@ TEST(VirtualDiskTest, PokeAffineSetsRuleWithoutMaterializing) {
   EXPECT_EQ(d.token(kTokenPageBlocks + 5), 0x9000 + kTokenPageBlocks + 5);
 }
 
+/// Run one timed disk call to completion.
+void run_io(Simulator& sim, DiskIo io) {
+  sim.spawn([](DiskIo io) -> Task<void> { co_await io; }(std::move(io)));
+  sim.run();
+}
+
+// A chunk over rule pages carries one segment per page and no per-block
+// token, however the range is aligned; the disk counts what it copied.
+TEST(VirtualDiskTest, RulePageSnapshotCarriesNoPerBlockTokens) {
+  Simulator sim;
+  VirtualDisk d{sim, Geometry::from_blocks(3 * kTokenPageBlocks + 10)};
+  d.poke_affine({0, 2 * kTokenPageBlocks}, 0x5000);  // pages 0-1 affine
+  const TokenSegments all =
+      d.snapshot_segments({0, 3 * kTokenPageBlocks + 10});
+  ASSERT_EQ(all.segments.size(), 4u);
+  EXPECT_TRUE(all.tokens.empty());
+  EXPECT_EQ(all.segments[0].tag, PageTag::kAffine);
+  EXPECT_EQ(all.segments[0].base, 0x5000u);
+  EXPECT_EQ(all.segments[1].tag, PageTag::kAffine);
+  EXPECT_EQ(all.segments[1].base, 0x5000u);
+  EXPECT_EQ(all.segments[2].tag, PageTag::kZero);
+  EXPECT_EQ(all.segments[3].tag, PageTag::kZero);  // the partial last page
+  EXPECT_EQ(all.entries(), 4u);
+  // Unaligned and page-crossing: still one entry per page touched.
+  const TokenSegments mid = d.snapshot_segments({100, 300});
+  ASSERT_EQ(mid.segments.size(), 2u);
+  EXPECT_TRUE(mid.tokens.empty());
+  EXPECT_EQ(mid.token(100), 0x5000u + 100);
+  EXPECT_EQ(mid.token(399), 0x5000u + 399);
+  EXPECT_EQ(d.payload_entries(), 6u);
+  EXPECT_EQ(d.pages_materialized(), 0u);
+}
+
+// An explicit page ships its tokens; on a whole non-explicit destination
+// page an exactly affine span becomes a rule again, any other materializes.
+TEST(VirtualDiskTest, ExplicitSpanKeepsTheAffineValueCheck) {
+  Simulator sim;
+  const Geometry g = Geometry::from_blocks(2 * kTokenPageBlocks);
+  VirtualDisk src{sim, g};
+  for (BlockId b = 0; b < kTokenPageBlocks; ++b) src.poke_token(b, 0x700 + b);
+  src.poke_affine({kTokenPageBlocks, kTokenPageBlocks}, 0x900);
+  src.poke_token(kTokenPageBlocks + 9, 1);  // page 1: explicit, not affine
+  const TokenSegments segs = src.snapshot_segments({0, 2 * kTokenPageBlocks});
+  ASSERT_EQ(segs.segments.size(), 2u);
+  EXPECT_EQ(segs.segments[0].tag, PageTag::kExplicit);
+  EXPECT_EQ(segs.segments[1].tag, PageTag::kExplicit);
+  EXPECT_EQ(segs.tokens.size(), 2u * kTokenPageBlocks);
+  EXPECT_EQ(segs.entries(), 2u + 2u * kTokenPageBlocks);
+
+  VirtualDisk dst{sim, g};
+  run_io(sim, dst.write_segments({0, 2 * kTokenPageBlocks}, segs));
+  EXPECT_EQ(dst.pages_materialized(), 1u);  // page 1 only
+  EXPECT_TRUE(dst.content_equals(src));
+  EXPECT_EQ(dst.token(kTokenPageBlocks + 9), 1u);
+}
+
+// A whole non-explicit page that receives a zero rule keeps (or takes) the
+// zero tag; a partly covered one materializes.
+TEST(VirtualDiskTest, ZeroRuleKeepsTheZeroTag) {
+  Simulator sim;
+  const Geometry g = Geometry::from_blocks(3 * kTokenPageBlocks);
+  VirtualDisk src{sim, g};
+  VirtualDisk dst{sim, g};
+  dst.poke_affine({0, 3 * kTokenPageBlocks}, 0x4000);
+  const TokenSegments zeros = src.snapshot_segments({0, 3 * kTokenPageBlocks});
+  run_io(sim, dst.write_segments({0, kTokenPageBlocks}, zeros));
+  EXPECT_EQ(dst.pages_materialized(), 0u);
+  EXPECT_FALSE(dst.has_explicit_tokens());
+  EXPECT_EQ(dst.token(0), kZeroBlockToken);
+  EXPECT_EQ(dst.token(kTokenPageBlocks - 1), kZeroBlockToken);
+  EXPECT_EQ(dst.token(kTokenPageBlocks), 0x4000u + kTokenPageBlocks);
+  run_io(sim, dst.write_segments({kTokenPageBlocks + 3, 10}, zeros));
+  EXPECT_EQ(dst.pages_materialized(), 1u);
+  EXPECT_EQ(dst.token(kTokenPageBlocks + 2), 0x4002u + kTokenPageBlocks);
+  EXPECT_EQ(dst.token(kTokenPageBlocks + 3), kZeroBlockToken);
+  EXPECT_EQ(dst.token(kTokenPageBlocks + 13), 0x400Du + kTokenPageBlocks);
+}
+
+// A sub-range install reads each explicit span at its offset in the chunk.
+TEST(VirtualDiskTest, WriteSegmentsInstallsASubRange) {
+  Simulator sim;
+  const Geometry g = Geometry::from_blocks(4 * kTokenPageBlocks);
+  VirtualDisk src{sim, g};
+  src.poke_affine({0, 4 * kTokenPageBlocks}, 0x100);
+  for (BlockId b = 300; b < 700; ++b) src.poke_token(b, 0xABC000 + 3 * b);
+  const TokenSegments segs = src.snapshot_segments({10, 900});
+  VirtualDisk dst{sim, g};
+  run_io(sim, dst.write_segments({520, 200}, segs));
+  for (BlockId b = 0; b < g.block_count; ++b) {
+    ASSERT_EQ(dst.token(b), b >= 520 && b < 720 ? src.token(b) : 0u)
+        << "block " << b;
+  }
+}
+
+// The explicit token array belongs to the first materialization, not to
+// construction: a disk whose pages keep their rules never allocates it.
+TEST(VirtualDiskTest, ExplicitArrayIsAllocatedByTheFirstMaterialization) {
+  Simulator sim;
+  VirtualDisk d{sim, Geometry::from_blocks(4 * kTokenPageBlocks)};
+  EXPECT_FALSE(d.has_explicit_tokens());
+  d.poke_affine({0, 4 * kTokenPageBlocks}, 0x5000);
+  VirtualDisk copy{sim, d.geometry()};
+  run_io(sim, copy.write_segments({0, 4 * kTokenPageBlocks},
+                                  d.snapshot_segments({0, 4 * kTokenPageBlocks})));
+  EXPECT_FALSE(d.has_explicit_tokens());
+  EXPECT_FALSE(copy.has_explicit_tokens());
+  EXPECT_TRUE(copy.content_equals(d));
+  run_io(sim, d.write({5, 3}));
+  EXPECT_TRUE(d.has_explicit_tokens());
+  EXPECT_EQ(d.pages_materialized(), 1u);
+}
+
 TEST(VirtualDiskTest, DiffWordMasksDifferingBlocks) {
   Simulator sim;
   VirtualDisk a{sim, Geometry::from_blocks(kTokenPageBlocks + 70)};
@@ -433,7 +545,7 @@ class PagedStoreDifferential {
   void step() {
     const std::uint64_t target = rng_.uniform_u64(3);  // a, b, or both
     const BlockRange r = random_range();
-    switch (rng_.uniform_u64(8)) {
+    switch (rng_.uniform_u64(9)) {
       case 0: {
         const BlockId blk = rng_.uniform_u64(kBlocks);
         const ContentToken t = rng_.uniform_u64(4) == 0 ? blk : rng_.next_u64();
@@ -467,8 +579,9 @@ class PagedStoreDifferential {
         break;
       case 3:
       case 4: {
-        // Migration-style receive: aligned or unaligned affine runs,
-        // non-affine runs, and runs that cross page boundaries.
+        // Migration-style receive of explicit spans: aligned or unaligned
+        // affine runs (an explicit source page can hold one), non-affine
+        // runs, and runs that cross page boundaries.
         const BlockRange rr = rng_.uniform_u64(2) == 0 ? aligned_range() : r;
         std::vector<ContentToken> toks(rr.count);
         const ContentToken base = random_base();
@@ -478,15 +591,31 @@ class PagedStoreDifferential {
         if (rng_.uniform_u64(2) == 0 && rr.count > 0) {
           toks[rng_.uniform_u64(rr.count)] = rng_.next_u64();
         }
-        for_targets(target, [&](Modeled& m) { receive(m, rr, toks); });
+        VirtualDisk stage{sim_, Geometry::from_blocks(kBlocks, kBlockSize)};
+        for (std::uint32_t i = 0; i < rr.count; ++i) {
+          stage.poke_token(rr.start + i, toks[i]);
+        }
+        const TokenSegments segs = stage.snapshot_segments(rr);
+        for_targets(target, [&](Modeled& m) {
+          run(m.disk->write_segments(rr, segs));
+          std::copy(toks.begin(), toks.end(), m.ref.begin() + rr.start);
+        });
         break;
       }
       case 5: {
         // Copy a range across, as a migration sender/receiver pair does.
         const bool to_a = rng_.uniform_u64(2) == 0;
-        const Modeled& from = to_a ? b_ : a_;
-        receive(to_a ? a_ : b_, r,
-                std::span{from.ref}.subspan(r.start, r.count));
+        copy_across(to_a ? b_ : a_, to_a ? a_ : b_, r, r);
+        break;
+      }
+      case 7: {
+        // Snapshot a range on one disk and install a random sub-range of
+        // it on the other, as post-copy applies a chunk's dirty sub-runs.
+        const bool to_a = rng_.uniform_u64(2) == 0;
+        const BlockId first = r.start + rng_.uniform_u64(r.count + 1);
+        const auto len = static_cast<std::uint32_t>(
+            rng_.uniform_u64(r.end() - first + 1));
+        copy_across(to_a ? b_ : a_, to_a ? a_ : b_, r, {first, len});
         break;
       }
       case 6: {
@@ -505,8 +634,8 @@ class PagedStoreDifferential {
       }
       default:
         if (rng_.uniform_u64(8) == 0) {  // occasionally make b a full copy of a
-          receive(b_, BlockRange{0, static_cast<std::uint32_t>(kBlocks)},
-                  a_.ref);
+          const BlockRange all{0, static_cast<std::uint32_t>(kBlocks)};
+          copy_across(a_, b_, all, all);
         }
         break;
     }
@@ -518,9 +647,20 @@ class PagedStoreDifferential {
         ASSERT_EQ(m->disk->token(b), m->ref[b]) << "block " << b;
       }
       const BlockRange r = random_range();
-      EXPECT_EQ(m->disk->snapshot_tokens(r),
-                std::vector<ContentToken>(m->ref.begin() + r.start,
-                                          m->ref.begin() + r.end()));
+      const std::uint64_t entries0 = m->disk->payload_entries();
+      const TokenSegments segs = m->disk->snapshot_segments(r);
+      std::uint64_t explicit_blocks = 0;
+      for (BlockId b = r.start; b < r.end(); ++b) {
+        ASSERT_EQ(segs.token(b), m->ref[b]) << "snapshot block " << b;
+        const std::size_t i = b / kTokenPageBlocks - segs.first_page();
+        explicit_blocks += segs.segments[i].tag == PageTag::kExplicit;
+      }
+      EXPECT_EQ(segs.segments.size(),
+                r.count == 0 ? 0
+                             : (r.end() - 1) / kTokenPageBlocks -
+                                   r.start / kTokenPageBlocks + 1);
+      EXPECT_EQ(segs.tokens.size(), explicit_blocks);
+      EXPECT_EQ(m->disk->payload_entries() - entries0, segs.entries());
       EXPECT_LE(m->disk->pages_materialized(),
                 (kBlocks + kTokenPageBlocks - 1) / kTokenPageBlocks);
     }
@@ -553,9 +693,13 @@ class PagedStoreDifferential {
     run([](DiskIo io) -> Task<void> { co_await io; }(std::move(io)));
   }
 
-  void receive(Modeled& m, BlockRange r, std::span<const ContentToken> toks) {
-    run(m.disk->write_tokens(r, toks));
-    std::copy(toks.begin(), toks.end(), m.ref.begin() + r.start);
+  /// Snapshot `r` on `from` and install its sub-range `sub` on `to`.
+  void copy_across(const Modeled& from, Modeled& to, BlockRange r,
+                   BlockRange sub) {
+    const TokenSegments segs = from.disk->snapshot_segments(r);
+    run(to.disk->write_segments(sub, segs));
+    std::copy(from.ref.begin() + sub.start, from.ref.begin() + sub.end(),
+              to.ref.begin() + sub.start);
   }
 
   template <typename F>

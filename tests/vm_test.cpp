@@ -76,8 +76,37 @@ TEST(GuestMemoryTest, ContentEqualsAndApply) {
   EXPECT_TRUE(a.content_equals(b));
   a.write_page(7);
   EXPECT_FALSE(a.content_equals(b));
-  b.apply_page(7, a.version(7));
+  b.apply_versions(7, a.snapshot_run(7, 1));
   EXPECT_TRUE(a.content_equals(b));
+}
+
+// The version array belongs to the first nonzero version; a missing array
+// reads, snapshots and compares as all zero.
+TEST(GuestMemoryTest, VersionArrayIsAllocatedOnFirstUse) {
+  GuestMemory idle{1}, zeroed{1};
+  EXPECT_FALSE(idle.has_versions());
+  EXPECT_EQ(idle.version(200), 0u);
+  EXPECT_TRUE(idle.snapshot_run(0, 256).empty());
+  EXPECT_EQ(idle.payload_entries(), 1u);  // the run alone
+  idle.apply_zero(0, 256);
+  EXPECT_FALSE(idle.has_versions());
+
+  zeroed.reserve_versions();  // an all-zero array
+  EXPECT_TRUE(zeroed.has_versions());
+  EXPECT_TRUE(idle.content_equals(zeroed));
+  EXPECT_TRUE(zeroed.content_equals(idle));
+  zeroed.write_page(9);
+  EXPECT_FALSE(idle.content_equals(zeroed));
+  EXPECT_FALSE(zeroed.content_equals(idle));
+  EXPECT_EQ(zeroed.snapshot_run(8, 3).size(), 3u);
+  EXPECT_EQ(zeroed.payload_entries(), 4u);  // the run and three versions
+  zeroed.apply_zero(9, 1);  // a zero run clears an existing array
+  EXPECT_TRUE(idle.content_equals(zeroed));
+
+  const std::uint64_t v[] = {0, 0};
+  idle.apply_versions(4, v);  // an applied run from written memory
+  EXPECT_TRUE(idle.has_versions());
+  EXPECT_TRUE(idle.content_equals(zeroed));
 }
 
 TEST(VCpuStateTest, TouchAndWire) {

@@ -85,6 +85,12 @@ class DirtyBitmap {
   std::optional<std::uint64_t> next_set(std::uint64_t from) const {
     VMIG_BITMAP_DISPATCH(return b.next_set(from));
   }
+  /// Index of the first set bit in [from, limit); nullopt if none. Loads
+  /// only the words of that window.
+  std::optional<std::uint64_t> next_set_before(std::uint64_t from,
+                                               std::uint64_t limit) const {
+    VMIG_BITMAP_DISPATCH(return wordops::next_set_before(b, from, limit));
+  }
   /// Index of the first clear bit at or after `from`; size() if none.
   std::uint64_t next_clear(std::uint64_t from) const {
     VMIG_BITMAP_DISPATCH(return b.next_clear(from));

@@ -79,11 +79,12 @@ sim::Task<void> PostCopyDestination::on_request(vm::DomainId domain,
   const sim::TimePoint entered = sim_.now();
   bool blocked = false;
   if (pull_enabled_) {
-    // Word-level skip to each dirty block; re-queried every iteration since
-    // the send suspends and blocks may arrive (or be overwritten) meanwhile.
-    for (auto nb = transferred_.next_set(range.start);
-         nb.has_value() && *nb < range.end();
-         nb = transferred_.next_set(*nb + 1)) {
+    // Word-level skip to each dirty block of the read, loading only the
+    // read's own words; re-queried every iteration since the send suspends
+    // and blocks may arrive (or be overwritten) meanwhile.
+    for (auto nb = transferred_.next_set_before(range.start, range.end());
+         nb.has_value();
+         nb = transferred_.next_set_before(*nb + 1, range.end())) {
       const storage::BlockId b = *nb;
       if (requested_.contains(b)) continue;
       if (!pull_slot_free()) {
@@ -100,8 +101,8 @@ sim::Task<void> PostCopyDestination::on_request(vm::DomainId domain,
   for (;;) {
     // Earliest still-inconsistent block in the window (word-level scan);
     // re-queried after every wakeup because the wait suspends.
-    const auto nb = transferred_.next_set(range.start);
-    if (!nb.has_value() || *nb >= range.end()) break;
+    const auto nb = transferred_.next_set_before(range.start, range.end());
+    if (!nb.has_value()) break;
     blocked = true;
     // vmig-lint: h2-ok -- pooled gate + flat-map shuffle, no node alloc
     const auto [it, inserted] = pending_.try_emplace(*nb);

@@ -26,8 +26,7 @@ sim::Task<void> TokenBucket::acquire(std::uint64_t bytes) {
   }
 }
 
-sim::Task<void> Link::transmit(std::uint64_t bytes, TokenBucket* shaper) {
-  if (shaper != nullptr) co_await shaper->acquire(bytes);
+sim::TimePoint Link::reserve(std::uint64_t bytes) {
   const sim::TimePoint arrival = sim_.now();
   const auto serialize = sim::Duration::from_seconds(
       static_cast<double>(bytes) / (p_.bandwidth_mibps * degrade_factor_ * kMiB));
@@ -42,8 +41,12 @@ sim::Task<void> Link::transmit(std::uint64_t bytes, TokenBucket* shaper) {
   ++messages_sent_;
   if (obs_bytes_ != nullptr) obs_bytes_->add(static_cast<double>(bytes));
   if (obs_msgs_ != nullptr) obs_msgs_->add(1.0);
-  const sim::TimePoint delivered = busy_until_ + p_.latency + extra_latency_;
-  co_await sim_.delay(delivered - arrival);
+  return busy_until_ + p_.latency + extra_latency_;
+}
+
+sim::Task<void> Link::transmit(std::uint64_t bytes, TokenBucket* shaper) {
+  if (shaper != nullptr) co_await shaper->acquire(bytes);
+  co_await sim_.delay(reserve(bytes) - sim_.now());
 }
 
 double Link::utilization() const {

@@ -61,6 +61,13 @@ class Link {
 
   const LinkParams& params() const noexcept { return p_; }
 
+  /// Put `bytes` on the wire now and return the instant its last byte
+  /// arrives at the far end: the serialize time at the current degradation,
+  /// queued behind earlier transmissions and past any outage window, plus
+  /// the latency. Counts the busy time, bytes and message. Schedules
+  /// nothing; the caller arms its own delivery timer.
+  sim::TimePoint reserve(std::uint64_t bytes);
+
   /// Transmit `bytes`; resumes the caller when the last byte has arrived at
   /// the far end. If `shaper` is non-null, bytes first conform to it.
   sim::Task<void> transmit(std::uint64_t bytes, TokenBucket* shaper = nullptr);

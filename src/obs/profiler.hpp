@@ -89,8 +89,9 @@ class Profiler {
     stats_[static_cast<std::size_t>(c)].events += n;
   }
   /// Allocation hook, called by the counting operator new replacement in
-  /// profiler.cpp. Attributes to the innermost open scope's category
-  /// (kOther when no scope is open). Must never allocate.
+  /// profiler.cpp and by sim::make_zeroed_array (calloc). Attributes to the
+  /// innermost open scope's category (kOther when no scope is open). Must
+  /// never allocate.
   void note_alloc(std::size_t bytes) noexcept;
 
   const ProfCategoryStats& stats(ProfCategory c) const noexcept {

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "simcore/notifier.hpp"
-#include "simcore/task.hpp"
 
 namespace vmig::sim {
 
@@ -21,6 +20,11 @@ namespace vmig::sim {
 /// future `recv`s drain remaining items then return nullopt; `send`s on a
 /// closed channel return false.
 ///
+/// `send` and `recv` return awaiters, not coroutines: `co_await ch.recv()`
+/// starts no frame. A waiter woken while its predicate still blocks (two
+/// receivers, one item) re-queues itself at the tail, exactly where a
+/// re-checking loop's fresh wait would land. Await them where they are made.
+///
 /// Storage is a power-of-two ring pre-reserved at construction. A deque
 /// would free and re-malloc its node blocks as a FIFO wraps, so a busy
 /// channel allocated forever; the ring makes steady-state send/recv
@@ -31,8 +35,9 @@ class Channel {
   // GCC 12's coroutine ramp double-destroys an elided aggregate prvalue
   // argument bound to a coroutine's by-value parameter, freeing buffers that
   // were already moved out (observed as heap-use-after-free under ASan).
-  // Requiring message types to be non-aggregate (any user-declared
-  // constructor suffices) or trivially destructible sidesteps the bug.
+  // Items reach a channel through such parameters (producer coroutines,
+  // MessageStream's shaped send), so message types must be non-aggregate
+  // (any user-declared constructor suffices) or trivially destructible.
   static_assert(std::is_trivially_destructible_v<T> || !std::is_aggregate_v<T>,
                 "give T a user-declared constructor (GCC 12 coroutine "
                 "parameter double-destruction workaround)");
@@ -63,16 +68,46 @@ class Channel {
     return true;
   }
 
-  /// Suspending send; returns false if the channel was closed.
-  Task<bool> send(T v) {
-    while (!closed_ && count_ >= capacity_) {
-      co_await not_full_.wait();
+  /// Awaiter of `send`: suspends while the channel is full; resumes with
+  /// false if the channel was closed, else with the item enqueued.
+  class [[nodiscard]] SendAwaiter {
+   public:
+    SendAwaiter(Channel& ch, T&& v)
+        : ch_{&ch}, v_{std::move(v)}, wait_{ch.not_full_, &send_blocked, &ch} {}
+
+    bool await_ready() const noexcept { return !send_blocked(ch_); }
+    void await_suspend(std::coroutine_handle<> h) { wait_.await_suspend(h); }
+    bool await_resume() {
+      if (ch_->closed_) return false;
+      ch_->push_item(std::move(v_));
+      ch_->not_empty_.notify_one();
+      return true;
     }
-    if (closed_) co_return false;
-    push_item(std::move(v));
-    not_empty_.notify_one();
-    co_return true;
-  }
+
+   private:
+    Channel* ch_;
+    T v_;
+    Notifier::Awaiter wait_;
+  };
+
+  /// Awaiter of `recv`: suspends while the channel is empty and open;
+  /// resumes with the oldest item, or nullopt once closed and drained.
+  class [[nodiscard]] RecvAwaiter {
+   public:
+    explicit RecvAwaiter(Channel& ch)
+        : ch_{&ch}, wait_{ch.not_empty_, &recv_blocked, &ch} {}
+
+    bool await_ready() const noexcept { return !recv_blocked(ch_); }
+    void await_suspend(std::coroutine_handle<> h) { wait_.await_suspend(h); }
+    std::optional<T> await_resume() { return ch_->try_recv(); }
+
+   private:
+    Channel* ch_;
+    Notifier::Awaiter wait_;
+  };
+
+  /// Suspending send; resumes with false if the channel was closed.
+  SendAwaiter send(T v) { return SendAwaiter{*this, std::move(v)}; }
 
   /// Non-suspending receive.
   std::optional<T> try_recv() {
@@ -83,15 +118,7 @@ class Channel {
   }
 
   /// Suspending receive; nullopt means closed-and-drained.
-  Task<std::optional<T>> recv() {
-    while (count_ == 0) {
-      if (closed_) co_return std::nullopt;
-      co_await not_empty_.wait();
-    }
-    std::optional<T> v{pop_item()};
-    not_full_.notify_one();
-    co_return v;
-  }
+  RecvAwaiter recv() { return RecvAwaiter{*this}; }
 
   void close() {
     if (closed_) return;
@@ -106,6 +133,15 @@ class Channel {
   std::size_t capacity() const noexcept { return capacity_; }
 
  private:
+  static bool send_blocked(const void* ch) noexcept {
+    const auto* c = static_cast<const Channel*>(ch);
+    return !c->closed_ && c->count_ >= c->capacity_;
+  }
+  static bool recv_blocked(const void* ch) noexcept {
+    const auto* c = static_cast<const Channel*>(ch);
+    return c->count_ == 0 && !c->closed_;
+  }
+
   void push_item(T v) {
     if (count_ == buf_.size()) grow();
     buf_[(head_ + count_) & (buf_.size() - 1)].emplace(std::move(v));

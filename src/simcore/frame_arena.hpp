@@ -12,8 +12,9 @@ namespace vmig::sim::detail {
 /// Thread-local size-class free list for coroutine frames.
 ///
 /// The simulator's steady state creates and destroys short-lived coroutines
-/// (pull handlers, delay hops, channel sends) at event rate; routing their
-/// frames through the general heap makes every dispatch an allocator call.
+/// (intercepted post-copy requests, pull handlers) at event rate; routing
+/// their frames through the general heap makes every dispatch an allocator
+/// call.
 /// Frames recycle here instead: 64-byte size classes up to 4 KiB, one free
 /// list per class, oversized frames fall through to the global heap. A
 /// 16-byte header keeps the class index (so unsized delete works) and

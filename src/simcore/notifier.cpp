@@ -84,6 +84,10 @@ void Notifier::fire(Awaiter* w) {
   unlink(w);
   w->state_ = Awaiter::State::kNotified;
   w->timer_ = sim_->schedule_after(Duration::zero(), [w] {
+    if (w->blocked_ != nullptr && w->blocked_(w->ctx_)) {
+      w->n_->enqueue(w);
+      return;
+    }
     w->state_ = Awaiter::State::kResumed;
     w->h_.resume();  // `w` may be destroyed past this point
   });

@@ -30,9 +30,19 @@ class Notifier {
   Notifier& operator=(const Notifier&) = delete;
   ~Notifier();
 
+  /// Predicate a woken waiter re-checks before it resumes (`ctx` is the
+  /// object the waiter waits on); true means it still cannot proceed.
+  using Blocked = bool (*)(const void* ctx);
+
   class [[nodiscard]] Awaiter {
    public:
     explicit Awaiter(Notifier& n) : n_{&n} {}
+    /// A waiter whose `blocked(ctx)` still holds when its wakeup event runs
+    /// goes back to the tail of the queue instead of resuming: the queue
+    /// position and events of a coroutine that re-checks its predicate in
+    /// a loop and waits again, without a coroutine to run the loop.
+    Awaiter(Notifier& n, Blocked blocked, const void* ctx)
+        : n_{&n}, blocked_{blocked}, ctx_{ctx} {}
     Awaiter(const Awaiter&) = delete;
     Awaiter& operator=(const Awaiter&) = delete;
     ~Awaiter();
@@ -45,6 +55,8 @@ class Notifier {
     friend class Notifier;
     enum class State : std::uint8_t { kCreated, kQueued, kNotified, kResumed, kOrphaned };
     Notifier* n_;
+    Blocked blocked_ = nullptr;
+    const void* ctx_ = nullptr;
     Simulator* sim_ = nullptr;
     std::coroutine_handle<> h_{};
     Simulator::TimerId timer_ = 0;

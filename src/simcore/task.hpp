@@ -19,8 +19,8 @@ namespace detail {
 /// Shared promise machinery: continuation chaining with symmetric transfer.
 ///
 /// Frames are pooled: the promise's operator new/delete route through
-/// FrameArena, so steady-state coroutine churn (a frame per pull, per delay
-/// hop, per channel send) recycles storage instead of hitting the heap.
+/// FrameArena, so steady-state coroutine churn (a frame per intercepted
+/// post-copy request, per pull) recycles storage instead of hitting the heap.
 class TaskPromiseBase {
  public:
   // vmig-lint: d5-begin -- promise allocation hooks, not call sites: they

@@ -32,32 +32,31 @@ sim::Task<void> WebServerWorkload::session(int id) {
     co_await sim_.delay(
         sim::Duration::from_seconds(rng_.exponential(p_.think_mean.to_seconds())));
     if (stop_requested()) break;
-    co_await handle_request();
+
+    // One request, inline so that it takes no coroutine frame of its own.
+    const sim::TimePoint arrival = sim_.now();
+    co_await domain_.barrier();
+
+    // Most requests are served from the page cache; a few touch the disk.
+    if (rng_.bernoulli(p_.disk_read_probability)) {
+      const std::uint64_t b =
+          region_start_ + rng_.zipf(region_blocks_ - 4, 0.7);
+      co_await read_blocks(storage::BlockRange{b, 4});
+    }
+
+    // Writes dirty the page cache; the flusher pushes them to disk in bulk.
+    if (rng_.bernoulli(p_.write_probability)) {
+      pending_dirty_blocks_ += static_cast<std::uint64_t>(
+          rng_.uniform_i64(p_.write_burst_min, p_.write_burst_max));
+    }
+
+    touch_pages(p_.pages_per_request);
+    domain_.cpu().touch();
+    account(rng_.exponential(p_.response_bytes_mean));
+    latency_.add(sim_.now() - arrival);
+    ++requests_;
   }
   --live_tasks_;
-}
-
-sim::Task<void> WebServerWorkload::handle_request() {
-  const sim::TimePoint arrival = sim_.now();
-  co_await domain_.barrier();
-
-  // Most requests are served from the page cache; a few touch the disk.
-  if (rng_.bernoulli(p_.disk_read_probability)) {
-    const std::uint64_t b = region_start_ + rng_.zipf(region_blocks_ - 4, 0.7);
-    co_await read_blocks(storage::BlockRange{b, 4});
-  }
-
-  // Writes dirty the page cache; the flusher pushes them to disk in bulk.
-  if (rng_.bernoulli(p_.write_probability)) {
-    pending_dirty_blocks_ += static_cast<std::uint64_t>(
-        rng_.uniform_i64(p_.write_burst_min, p_.write_burst_max));
-  }
-
-  touch_pages(p_.pages_per_request);
-  domain_.cpu().touch();
-  account(rng_.exponential(p_.response_bytes_mean));
-  latency_.add(sim_.now() - arrival);
-  ++requests_;
 }
 
 sim::Task<void> WebServerWorkload::flusher() {

@@ -57,7 +57,6 @@ class WebServerWorkload final : public Workload {
 
  private:
   sim::Task<void> session(int id);
-  sim::Task<void> handle_request();
   sim::Task<void> flusher();
 
   WebServerParams p_;

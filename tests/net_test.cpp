@@ -219,5 +219,37 @@ TEST(MessageStreamTest, TwoSendersInterleaveFifo) {
   EXPECT_EQ(got[1], 10);
 }
 
+// A message, a channel hop and a receive are awaiters: once the two
+// coroutines below exist, a thousand sends and receives (through a null and
+// an unlimited shaper, over a bounded channel) create no coroutine frame.
+TEST(MessageStreamTest, UnshapedSendAndRecvStartNoFrame) {
+  Simulator sim;
+  Link link{sim};
+  MessageStream<TestMsg> stream{sim, link};
+  sim::Channel<int> hop{sim, 1};
+  TokenBucket unlimited{sim, 0.0};
+  int received = 0;
+  sim.spawn([](MessageStream<TestMsg>& st, sim::Channel<int>& hop,
+               TokenBucket& tb) -> Task<void> {
+    for (int i = 0; i < 1000; ++i) {
+      co_await st.send(TestMsg{i, 1500}, i % 2 == 0 ? nullptr : &tb);
+      co_await hop.send(i);
+    }
+    st.close();
+    hop.close();
+  }(stream, hop, unlimited));
+  sim.spawn([](MessageStream<TestMsg>& st, sim::Channel<int>& hop,
+               int& received) -> Task<void> {
+    while (const auto m = co_await st.recv()) {
+      const auto v = co_await hop.recv();
+      if (v && *v == m->id) ++received;
+    }
+  }(stream, hop, received));
+  const std::uint64_t frames = sim.frames_created();
+  sim.run();
+  EXPECT_EQ(received, 1000);
+  EXPECT_EQ(sim.frames_created(), frames);
+}
+
 }  // namespace
 }  // namespace vmig::net

@@ -257,6 +257,51 @@ TEST(PostCopyDestinationTest, PullDisabledWaitsForPush) {
   EXPECT_TRUE(done);  // push released it
 }
 
+// A guest read checks only its own blocks against the transferred-bitmap: a
+// dirty block just past the range (at end()) or just before it (start - 1)
+// neither pulls nor stalls the read; one at end() - 1 does. Both with the
+// pull engine on and with push-only recovery.
+TEST(PostCopyDestinationTest, ReadChecksExactlyItsOwnBlocks) {
+  const BlockRange range{10, 4};  // blocks 10..13
+  for (const bool pull : {true, false}) {
+    for (const storage::BlockId dirty :
+         {range.end(), range.end() - 1, range.start - 1}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "pull=" << pull << " dirty=" << dirty);
+      const bool inside = dirty >= range.start && dirty < range.end();
+      Simulator sim;
+      DestRig rig{sim, 64, {dirty}, pull};
+      bool done = false;
+      sim.spawn([](DestRig& rig, BlockRange r, bool& done) -> Task<void> {
+        co_await rig.engine->on_request(7, storage::IoOp::kRead, r);
+        done = true;
+      }(rig, range, done));
+      sim.run();
+      EXPECT_EQ(done, !inside);
+      EXPECT_EQ(rig.engine->stats().pull_requests, inside && pull ? 1u : 0u);
+      if (inside && pull) {
+        const auto req = rig.rev.try_recv();
+        ASSERT_TRUE(req.has_value());
+        const auto* msg = req->get_if<PullRequestMsg>();
+        ASSERT_NE(msg, nullptr);
+        EXPECT_EQ(msg->block, dirty);
+      }
+      EXPECT_EQ(rig.rev.pending(), 0u);
+      EXPECT_TRUE(rig.engine->transferred().test(dirty));
+
+      // Delivering the block releases a stalled read; either way the read
+      // counts as blocked exactly when its own block was dirty.
+      sim.spawn([](DestRig& rig, storage::BlockId b, bool pulled) -> Task<void> {
+        co_await rig.engine->on_block_received(rig.make_block(b, pulled));
+      }(rig, dirty, inside && pull));
+      sim.run();
+      EXPECT_TRUE(done);
+      EXPECT_EQ(rig.engine->reads_blocked(), inside ? 1u : 0u);
+      EXPECT_TRUE(rig.engine->complete());
+    }
+  }
+}
+
 TEST(PostCopyDestinationTest, ForceCompleteInstallsTruthAndReleases) {
   Simulator sim;
   DestRig rig{sim, 64, {3, 4}};

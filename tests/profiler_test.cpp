@@ -29,6 +29,7 @@
 #include "obs/tracer.hpp"
 #include "scenario/cluster_testbed.hpp"
 #include "scenario/testbed.hpp"
+#include "simcore/zeroed_array.hpp"
 #include "workloads/diabolical.hpp"
 #include "workloads/kernel_build.hpp"
 
@@ -166,6 +167,25 @@ TEST(ProfilerTest, AllocationsAttributeToInnermostOpenScope) {
   const auto& in_scope = p.stats(ProfCategory::kOrchestratorTick);
   EXPECT_GE(in_scope.allocs, 1u);
   EXPECT_GE(in_scope.alloc_bytes, 1024u * sizeof(int));
+}
+
+TEST(ProfilerTest, ZeroedArraysCountInInnermostOpenScope) {
+  Profiler p;
+  p.activate();
+  std::uint64_t last = 1;
+  {
+    ProfScope outer{ProfCategory::kOrchestratorTick};
+    ProfScope inner{ProfCategory::kSimDispatch};
+    // calloc, not operator new: counted by make_zeroed_array itself.
+    const auto a = sim::make_zeroed_array<std::uint64_t>(4096);
+    last = a[4095];
+  }
+  Profiler::deactivate();
+  EXPECT_EQ(last, 0u);
+  const auto& inner = p.stats(ProfCategory::kSimDispatch);
+  EXPECT_EQ(inner.allocs, 1u);
+  EXPECT_EQ(inner.alloc_bytes, 4096u * sizeof(std::uint64_t));
+  EXPECT_EQ(p.stats(ProfCategory::kOrchestratorTick).allocs, 0u);
 }
 
 // ----------------------------------------------- determinism A/B (tentpole)
